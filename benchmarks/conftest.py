@@ -7,43 +7,20 @@ so a prior ``python scripts/run_experiments.py`` run makes the suite
 much faster; the model training inside each benchmark always runs for
 real and is what the timing measures.
 
-Each result is also recorded into the experiment state file (without
-overwriting entries from a dedicated ``run_experiments.py`` run, which
-uses a larger training budget), so ``EXPERIMENTS.md`` can be rebuilt
-from whatever has been measured most recently.
+Benchmarks only time and print: the results store written by
+``scripts/run_experiments.py`` is the one record ``EXPERIMENTS.md`` is
+rendered from.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 
 import pytest
 
 # Benchmarks measure end-to-end regeneration; a trimmed training budget
-# keeps the full suite in minutes.  EXPERIMENTS.md prefers results from
-# the untrimmed scripts/run_experiments.py runs where available.
+# keeps the full suite in minutes.
 os.environ.setdefault("REPRO_BENCH_EPOCHS", "15")
-
-_REPO = Path(__file__).resolve().parents[1]
-_STATE = _REPO / ".repro_cache" / "experiment_state.json"
-
-
-def _record(result) -> None:
-    try:
-        state = json.loads(_STATE.read_text()) if _STATE.exists() else {}
-    except (OSError, json.JSONDecodeError):
-        state = {}
-    if result.experiment_id in state:
-        return  # keep the dedicated run's (higher-budget) record
-    block = result.render() + (
-        "\n\n(recorded by the benchmark suite, trimmed training budget "
-        f"REPRO_BENCH_EPOCHS={os.environ.get('REPRO_BENCH_EPOCHS')})\n"
-    )
-    state[result.experiment_id] = block
-    _STATE.parent.mkdir(exist_ok=True)
-    _STATE.write_text(json.dumps(state))
 
 
 @pytest.fixture
@@ -57,7 +34,6 @@ def run_experiment(benchmark, capsys):
         with capsys.disabled():
             print()
             print(result.render())
-        _record(result)
         return result
 
     return runner

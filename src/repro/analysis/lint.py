@@ -14,7 +14,7 @@ Suppressions are comment-driven:
   the file suppresses the code file-wide; the justification is
   **required** and surfaced in JSON output — an unjustified file
   pragma is itself a finding (RPR099);
-* a legacy standalone ``# reprolint: disable=RPR001,RPR006`` comment
+* a legacy standalone ``# reprolint: disable=RPR001,RPR007`` comment
   line still suppresses file-wide (back-compat, justification
   optional).
 
@@ -53,7 +53,6 @@ from repro.analysis.baseline import (
 )
 from repro.analysis.dataflow.project import Project
 from repro.analysis.rules import (
-    DEFAULT_DISABLED,
     PROJECT_RULES,
     RULES,
     Finding,
@@ -80,7 +79,7 @@ PROFILES: dict[str, frozenset[str]] = {
     # lighter docstring duties than library code.
     "drivers": frozenset({"RPR007", "RPR009"}),
 }
-"""Named profiles: extra codes disabled on top of DEFAULT_DISABLED."""
+"""Named profiles: codes each profile leaves out of the default run."""
 
 _SUPPRESS_PATTERN = re.compile(
     r"#\s*reprolint:\s*disable=(?P<codes>RPR\d{3}(?:\s*,\s*RPR\d{3})*)"
@@ -185,9 +184,8 @@ def _effective_codes(
 ) -> frozenset[str]:
     """Rule codes to run, across both registries.
 
-    An explicit ``select`` wins outright (even over DEFAULT_DISABLED —
-    that is how the superseded RPR006 stays reachable); otherwise the
-    default set minus the profile's disabled codes.
+    An explicit ``select`` wins outright; otherwise every registered
+    code minus the profile's disabled codes.
     """
     known = set(RULES) | set(PROJECT_RULES)
     if select is not None:
@@ -197,7 +195,7 @@ def _effective_codes(
         return frozenset(select)
     if profile not in PROFILES:
         raise KeyError(f"unknown profile {profile!r} (have: {sorted(PROFILES)})")
-    return frozenset(known) - DEFAULT_DISABLED - PROFILES[profile]
+    return frozenset(known) - PROFILES[profile]
 
 
 def lint_source(
@@ -212,8 +210,7 @@ def lint_source(
     Args:
         source: Python source text.
         path: path to report in findings.
-        select: rule codes to run (default: all registered minus
-            :data:`~repro.analysis.rules.DEFAULT_DISABLED`).
+        select: rule codes to run (default: all registered).
         profile: named profile relaxing some codes (``drivers``).
         run_project_rules: also run the whole-project rules with this
             file as a single-module project.  :func:`lint_paths` turns
@@ -366,8 +363,7 @@ def lint_paths(
 
     Args:
         paths: files or directories (searched recursively for ``.py``).
-        select: rule codes to run (default: all registered minus the
-            default-disabled set).
+        select: rule codes to run (default: all registered).
         profile: named profile (``default`` or ``drivers``).
         jobs: worker processes for the per-file pass; 1 = in-process.
             The whole-project pass always runs in the parent.
@@ -565,10 +561,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for code in sorted(set(RULES) | set(PROJECT_RULES)):
             rule = RULES.get(code) or PROJECT_RULES[code]
             scope = "project" if code in PROJECT_RULES else "file"
-            off = " [off by default]" if code in DEFAULT_DISABLED else ""
-            sys.stdout.write(
-                f"{code} [{scope}]{off} {rule.name}: {rule.description}\n"
-            )
+            sys.stdout.write(f"{code} [{scope}] {rule.name}: {rule.description}\n")
         return 0
     if not args.paths:
         parser.error("no paths given (try: python -m repro.analysis.lint src)")

@@ -1,8 +1,8 @@
 """RPR012: flow-aware narrow-float discipline with inference_mode scopes.
 
-The token-level RPR006 banned every ``float32`` spelling outright,
-which made the ROADMAP's inference-only float32 serve path
-unexpressible.  RPR012 supersedes it with a *dataflow* rule:
+A token-level ban on every ``float32`` spelling would make the
+inference-only float32 serve path unexpressible, so narrow floats are
+policed by a *dataflow* rule instead:
 
 * a narrow-float **origin** (``np.float32(...)``, ``.astype(np.float32)``,
   ``dtype="float32"``, ``np.dtype("float32")``, or a narrow dtype

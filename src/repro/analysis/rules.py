@@ -22,7 +22,6 @@ from repro.analysis.dataflow.callgraph import CallGraph, build_call_graph
 from repro.analysis.dataflow.project import Project
 
 __all__ = [
-    "DEFAULT_DISABLED",
     "FileContext",
     "Finding",
     "LintRule",
@@ -108,16 +107,6 @@ RULES: dict[str, LintRule] = {}
 
 PROJECT_RULES: dict[str, "ProjectRule"] = {}
 """Registry of project-wide (flow-aware) rules, keyed by code."""
-
-DEFAULT_DISABLED: frozenset[str] = frozenset({"RPR006"})
-"""Codes registered but left out of the default selection.
-
-RPR006 (token-level narrow-float ban) is superseded by the flow-aware
-RPR012 pack, which admits float32 proven to stay inside an explicit
-``inference_mode()`` scope; the token rule stays selectable with
-``--select RPR006`` for callers who want the stricter blanket ban.
-"""
-
 
 def register_rule(cls: type[LintRule]) -> type[LintRule]:
     """Class decorator adding a rule to :data:`RULES`.
@@ -490,42 +479,6 @@ class AllExportsRule(LintRule):
         dupes = {n for n in exported if exported.count(n) > 1}
         for name in sorted(dupes):
             yield self.finding(ctx, all_node, f"__all__ lists {name!r} more than once")
-
-
-@register_rule
-class NarrowFloatRule(LintRule):
-    """RPR006: float64 is the numeric standard; no narrow-float dtypes.
-
-    Mixed precision silently truncates MUSIC eigen-decompositions and
-    gradient accumulations; ``repro.nn.module.DEFAULT_DTYPE`` is the
-    single source of truth and everything else stays float64/complex128.
-    """
-
-    code = "RPR006"
-    name = "narrow-float"
-    description = "float32/float16 dtype literals drift from the library's float64 standard"
-    hint = "use float64 (repro.nn.module.DEFAULT_DTYPE) or suppress for an intentional cast"
-
-    # reprolint: disable=RPR006 -- the ban tables below must name the banned dtypes
-    _NARROW_STRINGS = frozenset({"float32", "float16", "complex64"})
-    _NARROW_ATTRS = frozenset(
-        {"float32", "float16", "half", "single", "csingle", "complex64"}
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        """Yield findings for one file."""
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Constant) and node.value in self._NARROW_STRINGS:
-                yield self.finding(
-                    ctx, node, f"narrow dtype string {node.value!r} mixes precision"
-                )
-            elif isinstance(node, ast.Attribute):
-                dotted = _dotted(node)
-                if dotted is None:
-                    continue
-                parts = dotted.split(".")
-                if parts[0] in ("np", "numpy") and parts[-1] in self._NARROW_ATTRS:
-                    yield self.finding(ctx, node, f"narrow dtype {dotted} mixes precision")
 
 
 @register_rule

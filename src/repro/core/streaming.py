@@ -125,35 +125,55 @@ def split_windows(
     Raises:
         ValueError: on a non-positive ``window_s`` or ``hop_s``.
     """
+    sorted_log, starts, lo, hi = _window_grid(log, window_s, hop_s)
+    return [
+        (w_start, sorted_log.take(slice(int(w_lo), int(w_hi))))
+        for w_start, w_lo, w_hi in zip(starts, lo, hi)
+    ]
+
+
+def _window_grid(
+    log: ReadLog, window_s: float, hop_s: float | None
+) -> tuple[ReadLog, list[float], np.ndarray, np.ndarray]:
+    """The windowing grid shared by :func:`split_windows` and ``identify``.
+
+    The log is sorted by timestamp once; windows start on the dwell
+    grid at the first read and advance by ``hop_s`` (default
+    ``window_s``), and a window is complete once its final dwell has
+    started.  Each window is the ``searchsorted`` slice
+    ``[lo, hi)`` of the sorted log.
+
+    Returns:
+        ``(sorted_log, starts, lo, hi)``; ``starts`` is empty when the
+        log cannot hold one complete window.
+
+    Raises:
+        ValueError: on a non-positive ``window_s`` or ``hop_s`` (a zero
+            or negative hop would never advance the window).
+    """
     if window_s is None or window_s <= 0:
         raise ValueError("window_s must be positive")
     if hop_s is not None and hop_s <= 0:
         raise ValueError("hop_s must be positive")
     hop = window_s if hop_s is None else hop_s
     if log.n_reads == 0:
-        return []
-    dwell = log.meta.dwell_s
+        return log, [], np.zeros(0, dtype=int), np.zeros(0, dtype=int)
     if np.all(log.timestamp_s[1:] >= log.timestamp_s[:-1]):
         sorted_log = log
     else:
         sorted_log = log.take(np.argsort(log.timestamp_s, kind="stable"))
     ts = sorted_log.timestamp_s
-    t0 = np.floor(float(ts[0]) / dwell) * dwell
+    dwell = log.meta.dwell_s
+    start = np.floor(float(ts[0]) / dwell) * dwell
     t_end = float(ts[-1]) + dwell
     starts: list[float] = []
-    start = t0
     while start + window_s <= t_end + 1e-9:
         starts.append(float(start))
         start += hop
-    if not starts:
-        return []
     starts_arr = np.asarray(starts, dtype=np.float64)
     lo = np.searchsorted(ts, starts_arr, side="left")
     hi = np.searchsorted(ts, starts_arr + window_s, side="left")
-    return [
-        (w_start, sorted_log.take(slice(int(w_lo), int(w_hi))))
-        for w_start, w_lo, w_hi in zip(starts, lo, hi)
-    ]
+    return sorted_log, starts, lo, hi
 
 
 @dataclass
@@ -214,11 +234,11 @@ class StreamingIdentifier:
         otherwise.  Only a log too short to contain a single complete
         window produces an empty list.
 
-        The log is sorted by timestamp once and every window becomes a
-        ``searchsorted`` slice of that order (instead of one boolean
-        scan of all reads per window); all classifiable windows are
-        featurised and scored through a *single* batched
-        ``predict_proba`` call.
+        The log is sorted by timestamp and calibrated once, and every
+        window becomes a ``searchsorted`` slice of that order.  The
+        windows then take the serving path: one :meth:`prepare_windows`
+        (admission + one pooled DSP batch), one
+        :meth:`predict_prepared` and :meth:`score_window` per row.
 
         Returns:
             Decisions in time order (possibly empty for a short log).
@@ -231,88 +251,41 @@ class StreamingIdentifier:
         """
         if self.pipeline.model is None:
             raise RuntimeError("pipeline not fitted")
-        if self.window_s is None or self.window_s <= 0:
-            raise ValueError("window_s must be positive")
-        if self.hop_s is not None and self.hop_s <= 0:
-            raise ValueError("hop_s must be positive")
-        hop = self.window_s if self.hop_s is None else self.hop_s
-        if log.n_reads == 0:
+        sorted_log, starts, lo, hi = _window_grid(log, self.window_s, self.hop_s)
+        if not starts:
             return []
-        dwell = log.meta.dwell_s
-        n_frames = max(1, int(round(self.window_s / dwell)))
 
         with span("streaming.identify", reads=log.n_reads) as identify_span:
-            psi_full = (
-                self.calibrator.calibrate(log)
+            psi = (
+                self.calibrator.calibrate(sorted_log)
                 if self.calibrator is not None
-                else uncalibrated(log)
+                else uncalibrated(sorted_log)
             )
-            if np.all(log.timestamp_s[1:] >= log.timestamp_s[:-1]):
-                sorted_log, psi_sorted = log, psi_full
-            else:
-                order = np.argsort(log.timestamp_s, kind="stable")
-                sorted_log = log.take(order)
-                psi_sorted = psi_full[order]
-            ts = sorted_log.timestamp_s
-            t0 = np.floor(float(ts[0]) / dwell) * dwell
-            # A window is complete once its final dwell has started.
-            t_end = float(ts[-1]) + dwell
-            starts: list[float] = []
-            start = t0
-            while start + self.window_s <= t_end + 1e-9:
-                starts.append(float(start))
-                start += hop
-            if not starts:
-                identify_span.set(windows=0)
-                return []
-            starts_arr = np.asarray(starts, dtype=np.float64)
-            lo = np.searchsorted(ts, starts_arr, side="left")
-            hi = np.searchsorted(ts, starts_arr + self.window_s, side="left")
-
-            decisions: list[WindowDecision | None] = [None] * len(starts)
-            pending: list[tuple[int, float, int]] = []
-            samples = []
-            for i, (w_start, w_lo, w_hi) in enumerate(zip(starts, lo, hi)):
-                n_reads = int(w_hi - w_lo)
+            windows = []
+            for w_start, w_lo, w_hi in zip(starts, lo, hi):
                 with span("streaming.window", t_start_s=w_start):
-                    if n_reads < self.min_reads:
-                        decisions[i] = self._abstain(
-                            w_start, w_start + self.window_s, n_reads,
-                            REASON_TOO_FEW_READS,
+                    windows.append(
+                        (
+                            sorted_log.take(slice(int(w_lo), int(w_hi))),
+                            w_start,
+                            psi[w_lo:w_hi],
                         )
-                    else:
-                        window_log = sorted_log.take(slice(int(w_lo), int(w_hi)))
-                        live_ports = int(window_log.antenna_liveness().sum())
-                        if live_ports < self.min_live_ports:
-                            decisions[i] = self._abstain(
-                                w_start, w_start + self.window_s, n_reads,
-                                REASON_DEAD_PORTS,
-                            )
-                        else:
-                            samples.append(
-                                self.featurizer.transform(
-                                    window_log,
-                                    psi_sorted[w_lo:w_hi],
-                                    n_frames=n_frames,
-                                )
-                            )
-                            pending.append((i, w_start, n_reads))
+                    )
                 counter("streaming.windows_total").inc()
-
+            prepared = self.prepare_windows(windows)
+            decisions = [decision for decision, _sample in prepared]
+            pending = [i for i, decision in enumerate(decisions) if decision is None]
             if pending:
-                dataset = ActivityDataset(
-                    samples=samples, labels=["?"] * len(samples)
+                probas = self.predict_prepared(
+                    [prepared[i][1] for i in pending]
                 )
-                self._check_serve_dtype()
-                with span("streaming.predict", windows=len(pending)):
-                    with stage_boundary("predict"):
-                        probas = self.pipeline.predict_proba(dataset)
-                for (i, w_start, n_reads), proba in zip(pending, probas):
-                    decisions[i] = self._score(
-                        w_start, n_reads, np.asarray(proba)
+                for i, proba in zip(pending, probas):
+                    window_log, w_start, _psi = windows[i]
+                    decisions[i] = self.score_window(
+                        w_start, window_log.n_reads, proba
                     )
             identify_span.set(windows=len(decisions))
-        return [d for d in decisions if d is not None]
+        return decisions
 
     def identify_window(
         self,
@@ -360,10 +333,9 @@ class StreamingIdentifier:
     ) -> tuple[WindowDecision | None, object | None]:
         """Featurise one window without running inference.
 
-        The first phase of the split serving path: admission checks
-        (read count, live ports) and featurisation happen here, so a
-        fleet shard can collect featurised samples from many streams
-        and push them through :meth:`predict_prepared` as one batch.
+        The first phase of the split serving path — admission checks
+        (read count, live ports) and featurisation — as a
+        :meth:`prepare_windows` batch of one.
 
         Args:
             window_log: the reads falling inside the window.
@@ -379,30 +351,7 @@ class StreamingIdentifier:
         Raises:
             RuntimeError: when the pipeline is not fitted.
         """
-        if self.pipeline.model is None:
-            raise RuntimeError("pipeline not fitted")
-        t_end = t_start_s + self.window_s
-        n_reads = window_log.n_reads
-        if n_reads < self.min_reads:
-            return (
-                self._abstain(t_start_s, t_end, n_reads, REASON_TOO_FEW_READS),
-                None,
-            )
-        if int(window_log.antenna_liveness().sum()) < self.min_live_ports:
-            return (
-                self._abstain(t_start_s, t_end, n_reads, REASON_DEAD_PORTS),
-                None,
-            )
-        if psi is None:
-            psi = (
-                self.calibrator.calibrate(window_log)
-                if self.calibrator is not None
-                else uncalibrated(window_log)
-            )
-        dwell = window_log.meta.dwell_s
-        n_frames = max(1, int(round(self.window_s / dwell)))
-        sample = self.featurizer.transform(window_log, psi, n_frames=n_frames)
-        return None, sample
+        return self.prepare_windows([(window_log, t_start_s, psi)])[0]
 
     def prepare_windows(
         self,
@@ -410,20 +359,21 @@ class StreamingIdentifier:
     ) -> list[tuple["WindowDecision | None", object | None]]:
         """Featurise many windows through one pooled DSP batch.
 
-        The batched counterpart of :meth:`prepare_window`: admission
-        checks run per window, then every admissible window is
-        featurised through the featuriser's ``transform_many`` (one
-        stacked MUSIC/periodogram batch for the lot) when it has one,
-        falling back to per-window ``transform`` otherwise.  Results
-        are identical to calling :meth:`prepare_window` per window.
+        The one admission loop of the identifier (:meth:`identify`,
+        :meth:`prepare_window` and fleet shards all come through here):
+        read-count and live-port checks run per window, then every
+        admissible window is featurised through the featuriser's
+        ``transform_many`` (one stacked MUSIC/periodogram batch for the
+        lot) when it has one, or per-window ``transform`` otherwise.
 
         Args:
             windows: ``(window_log, t_start_s, psi)`` per window;
                 ``psi`` None computes calibrated phases per window.
 
         Returns:
-            One ``(decision, sample)`` pair per window, in order, with
-            the same semantics as :meth:`prepare_window`.
+            One ``(decision, sample)`` pair per window, in order:
+            ``(decision, None)`` for an early abstain, ``(None,
+            sample)`` with the featurised sample otherwise.
 
         Raises:
             RuntimeError: when the pipeline is not fitted.

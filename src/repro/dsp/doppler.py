@@ -108,7 +108,8 @@ class DopplerFeaturizer:
         label: str | None = None,
     ):
         """Featurise ``log`` into Doppler-rate frames."""
-        from repro.dsp.frames import FeatureFrames, tag_snapshot_set
+        from repro.dsp.frames import FeatureFrames
+        from repro.dsp.snapshots import tag_snapshot_set
 
         snapshot_sets = tag_snapshot_set(log, psi, n_frames)
         round_s = log.meta.slot_s * log.meta.n_antennas

@@ -18,8 +18,8 @@ from repro.dsp.frames import (
     build_spectrum_frames,
     build_spectrum_frames_many,
     power_to_db,
-    tag_snapshot_set,
 )
+from repro.dsp.snapshots import tag_snapshot_set
 from repro.hardware.llrp import ReadLog
 
 

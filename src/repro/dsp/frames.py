@@ -23,11 +23,7 @@ from repro.dsp.music import (
     music_spectra_batch,
 )
 from repro.dsp.periodogram import spatial_periodogram_batch
-from repro.dsp.snapshots import (
-    TagSnapshots,
-    build_snapshots_all,
-    build_snapshots_many,
-)
+from repro.dsp.snapshots import build_snapshots_many, frame_count
 from repro.hardware.llrp import ReadLog
 from repro.obs.tracing import span
 from repro.runtime.breaker import stage_boundary
@@ -108,13 +104,6 @@ class FeatureFrames:
         )
 
 
-def tag_snapshot_set(
-    log: ReadLog, psi: np.ndarray, n_frames: int | None = None
-) -> list[TagSnapshots]:
-    """Snapshots for every tag over a common frame axis."""
-    return build_snapshots_all(log, psi, n_frames=n_frames)
-
-
 def build_spectrum_frames(
     log: ReadLog,
     psi: np.ndarray,
@@ -125,6 +114,11 @@ def build_spectrum_frames(
     label: str | None = None,
 ) -> FeatureFrames:
     """The M2AI preprocessing output: pseudospectrum + periodogram frames.
+
+    One window featurised as a pooled batch of one — exactly
+    :func:`build_spectrum_frames_many` on ``[(log, psi, n_frames)]``
+    with ``label`` attached, so training samples and served windows
+    share a single featurisation path.
 
     Frames where a tag was not observed on at least two ports repeat
     the tag's previous frame (zero for a missing first frame) — the
@@ -153,147 +147,14 @@ def build_spectrum_frames(
         ``meta["antenna_liveness"]`` records the port mask the features
         were computed under.
     """
-    grid = DEFAULT_ANGLES_DEG if angles_deg is None else np.asarray(angles_deg)
-    with span("dsp.frames.build", reads=log.n_reads) as build_span:
-        with stage_boundary("dsp.frames"):
-            snapshot_sets = tag_snapshot_set(log, psi, n_frames)
-            frames = snapshot_sets[0].n_frames
-            n_tags = len(snapshot_sets)
-            build_span.set(frames=frames, tags=n_tags)
-            n_ant = log.meta.n_antennas
-            live = log.antenna_liveness()
-            healthy = bool(live.all())
-            can_aoa = int(live.sum()) >= 2
-
-            pseudo = (
-                np.zeros((frames, n_tags, grid.size)) if include_pseudo else None
-            )
-            period = np.zeros((frames, n_tags, n_ant)) if include_period else None
-
-            _build_tag_frames(
-                snapshot_sets, log, grid, live, healthy, can_aoa, pseudo, period
-            )
-
-    channels: dict[str, np.ndarray] = {}
-    if pseudo is not None:
-        channels["pseudo"] = pseudo
-    if period is not None:
-        channels["period"] = period
-    return FeatureFrames(
-        channels=channels, label=label, meta={"antenna_liveness": live}
+    (frames,) = build_spectrum_frames_many(
+        [(log, psi, n_frames)],
+        angles_deg=angles_deg,
+        include_pseudo=include_pseudo,
+        include_period=include_period,
     )
-
-
-def _collect_entries(
-    snapshot_sets: list[TagSnapshots],
-) -> tuple[list[tuple[int, int]], list[np.ndarray], list[np.ndarray], list[float]]:
-    """Every valid ``(tag, frame)`` dwell with its snapshot rows."""
-    frames = snapshot_sets[0].n_frames
-    entries: list[tuple[int, int]] = []
-    z_rows, valid_rows, wavelengths = [], [], []
-    for k, snaps in enumerate(snapshot_sets):
-        # Vectorised snaps.frame_valid over the tag's frame axis.
-        ok = np.flatnonzero(
-            (snaps.valid.any(axis=1).sum(axis=1) >= 2)[:frames]
-        )
-        entries.extend((k, int(f)) for f in ok)
-        z_rows.extend(snaps.z[f] for f in ok)
-        valid_rows.extend(snaps.valid[f] for f in ok)
-        wavelengths.extend(float(snaps.wavelength_m[f]) for f in ok)
-    return entries, z_rows, valid_rows, wavelengths
-
-
-def _fill_tag_frames(
-    snapshot_sets: list[TagSnapshots],
-    entries: list[tuple[int, int]],
-    spectra: np.ndarray | None,
-    powers: np.ndarray | None,
-    pseudo: np.ndarray | None,
-    period: np.ndarray | None,
-) -> None:
-    """Scatter per-entry DSP outputs into the frame tensors; invalid
-    frames repeat the tag's previous frame (zero for a missing first
-    frame)."""
-    frames = snapshot_sets[0].n_frames
-    position = {entry: i for i, entry in enumerate(entries)}
-    for k in range(len(snapshot_sets)):
-        for f in range(frames):
-            i = position.get((k, f))
-            if i is None:
-                if f > 0:
-                    if pseudo is not None:
-                        pseudo[f, k] = pseudo[f - 1, k]
-                    if period is not None:
-                        period[f, k] = period[f - 1, k]
-                continue
-            if pseudo is not None and spectra is not None:
-                pseudo[f, k] = spectra[i]
-            if period is not None and powers is not None:
-                period[f, k] = powers[i]
-
-
-def _build_tag_frames(
-    snapshot_sets: list[TagSnapshots],
-    log: ReadLog,
-    grid: np.ndarray,
-    live: np.ndarray,
-    healthy: bool,
-    can_aoa: bool,
-    pseudo: np.ndarray | None,
-    period: np.ndarray | None,
-) -> None:
-    """Fill the per-tag frame tensors in place (split out of the public
-    entry point so the span covers exactly the assembly work).
-
-    Every valid ``(tag, frame)`` dwell of the whole sample goes into
-    *one* stacked batch — one covariance build, one stacked
-    eigendecomposition, one stacked FFT — instead of a Python loop of
-    per-frame DSP calls; invalid frames then repeat the previous frame
-    exactly as before.
-    """
-    entries, z_rows, valid_rows, wavelengths = _collect_entries(snapshot_sets)
-
-    spectra: np.ndarray | None = None
-    powers: np.ndarray | None = None
-    if entries:
-        z_stack = np.stack(z_rows)
-        v_stack = np.stack(valid_rows)
-        if period is not None:
-            with stage_boundary("dsp.periodogram"):
-                powers = power_to_db(
-                    spatial_periodogram_batch(
-                        z_stack, v_stack, liveness=None if healthy else live
-                    )
-                )
-        if pseudo is not None and healthy:
-            with stage_boundary("dsp.music"):
-                covs = spatial_covariance_stack(z_stack, v_stack)
-                raw, _dims, _eigs = music_spectra_batch(
-                    covs,
-                    spacing_m=log.meta.spacing_m,
-                    wavelength_m=np.asarray(wavelengths),
-                    angles_deg=grid,
-                )
-                spectra = normalize_pseudospectrum(raw)
-        elif pseudo is not None and can_aoa:
-            with stage_boundary("dsp.music"):
-                spectra = np.stack(
-                    [
-                        normalize_pseudospectrum(
-                            masked_pseudospectrum(
-                                z_rows[i],
-                                valid_rows[i],
-                                live,
-                                spacing_m=log.meta.spacing_m,
-                                wavelength_m=wavelengths[i],
-                                angles_deg=grid,
-                            ).spectrum
-                        )
-                        for i in range(len(entries))
-                    ]
-                )
-
-    _fill_tag_frames(snapshot_sets, entries, spectra, powers, pseudo, period)
+    frames.label = label
+    return frames
 
 
 def build_spectrum_frames_many(
@@ -304,22 +165,26 @@ def build_spectrum_frames_many(
 ) -> list[FeatureFrames]:
     """Featurise many windows through one pooled DSP batch.
 
-    The cross-stream serving entry point: every valid ``(tag, dwell)``
-    of every window — across all streams a fleet shard is ticking —
-    goes into *one* stacked periodogram and *one* stacked MUSIC batch,
-    so the per-call dispatch cost of the small-matrix DSP kernels is
-    paid once per shard tick rather than once per window.  Each
-    window's output is identical to :func:`build_spectrum_frames` on
-    the same ``(log, psi)``: pooling only widens the stacks, and every
-    kernel in them is per-row.
+    The single featurisation path: every valid ``(tag, dwell)`` of
+    every window — across all streams a fleet shard is ticking, or the
+    one window of :func:`build_spectrum_frames` — goes into *one*
+    stacked periodogram and *one* stacked MUSIC batch, so the per-call
+    dispatch cost of the small-matrix DSP kernels is paid once per
+    batch rather than once per window.  Every kernel in the stacks is
+    per-row, so pooling never changes a window's output.
 
-    Windows with a dead antenna port take the scalar masked-subarray
-    path (their covariances live on a different element layout), so a
-    degraded stream slows only itself down.
+    Windows are grouped by array geometry, frame count and antenna
+    liveness mask.  A group with a dead port (but at least two live
+    ones) runs MUSIC on the surviving subarray one dwell at a time
+    (:func:`~repro.dsp.music.masked_pseudospectrum` — its covariances
+    live on a different element layout) and re-normalises the
+    periodogram to the live aperture; fewer than two live ports leave
+    the pseudospectrum channel zero.
 
     Args:
         windows: ``(log, psi, n_frames)`` per window; ``n_frames``
-            None derives the frame count from the log span.
+            None derives the frame count from the log span
+            (:func:`~repro.dsp.snapshots.frame_count`).
         angles_deg: pseudospectrum angle grid shared by the batch.
         include_pseudo: emit the ``"pseudo"`` channel.
         include_period: emit the ``"period"`` channel.
@@ -331,39 +196,21 @@ def build_spectrum_frames_many(
     """
     grid = DEFAULT_ANGLES_DEG if angles_deg is None else np.asarray(angles_deg)
     out: list[FeatureFrames | None] = [None] * len(windows)
-    # Pool per array geometry + frame count (normally exactly one group
-    # across the whole fleet): those windows share one binning pass,
-    # one covariance/eigen stack and one scatter.
+    # Normally exactly one group across the whole fleet: its windows
+    # share one binning pass, one DSP stack and one scatter.
     groups: dict[tuple, list[tuple[int, ReadLog, np.ndarray, np.ndarray]]] = {}
-    with span("dsp.frames.build_many", windows=len(windows)):
+    with span("dsp.frames.build", windows=len(windows)):
         for w, (log, psi, n_frames) in enumerate(windows):
-            live = log.antenna_liveness()
-            if not bool(live.all()):
-                # Dead ports take the scalar masked-subarray path (their
-                # covariances live on a different element layout), so a
-                # degraded stream slows only itself down.
-                out[w] = build_spectrum_frames(
-                    log,
-                    psi,
-                    n_frames=n_frames,
-                    angles_deg=grid,
-                    include_pseudo=include_pseudo,
-                    include_period=include_period,
-                )
-                continue
             meta = log.meta
-            if n_frames is None:
-                # Mirror build_snapshots_all's span-derived frame count.
-                t0 = np.floor(log.timestamp_s.min() / meta.dwell_s) * meta.dwell_s
-                span_s = log.timestamp_s.max() - t0
-                n_frames = max(1, int(np.ceil((span_s + 1e-9) / meta.dwell_s)))
+            live = log.antenna_liveness()
             key = (
                 log.n_tags,
-                int(n_frames),
+                frame_count(log) if n_frames is None else int(n_frames),
                 meta.n_antennas,
                 float(meta.dwell_s),
                 float(meta.slot_s),
                 float(meta.spacing_m),
+                tuple(live.tolist()),
             )
             groups.setdefault(key, []).append((w, log, psi, live))
 
@@ -382,14 +229,15 @@ def _pool_spectrum_group(
     include_period: bool,
     out: list[FeatureFrames | None],
 ) -> None:
-    """Featurise one geometry group of healthy windows as a single batch.
+    """Featurise one group of same-geometry, same-liveness windows.
 
     One :func:`build_snapshots_many` binning pass, one stacked
     periodogram/MUSIC call over every valid ``(window, tag, dwell)``
-    entry in the group, then a vectorised scatter + forward fill that
-    replicates :func:`_fill_tag_frames` per window.
+    entry in the group, then a vectorised scatter + forward fill.
     """
-    n_tags, frames, n_ant, _dwell, _slot, spacing = key
+    n_tags, frames, n_ant, _dwell, _slot, spacing, _live = key
+    live = members[0][3]
+    healthy = bool(live.all())
     with stage_boundary("dsp.frames"):
         z, valid, wavelength, _frame_time = build_snapshots_many(
             [log for _w, log, _psi, _live in members],
@@ -408,8 +256,12 @@ def _pool_spectrum_group(
     if w_e.size:
         if include_period:
             with stage_boundary("dsp.periodogram"):
-                powers = power_to_db(spatial_periodogram_batch(z_rows, v_rows))
-        if include_pseudo:
+                powers = power_to_db(
+                    spatial_periodogram_batch(
+                        z_rows, v_rows, liveness=None if healthy else live
+                    )
+                )
+        if include_pseudo and healthy:
             with stage_boundary("dsp.music"):
                 covs = spatial_covariance_stack(z_rows, v_rows)
                 raw, _dims, _eigs = music_spectra_batch(
@@ -419,6 +271,25 @@ def _pool_spectrum_group(
                     angles_deg=grid,
                 )
                 spectra = normalize_pseudospectrum(raw)
+        elif include_pseudo and int(live.sum()) >= 2:
+            # The masked subarray has no stacked kernel: this row loop is
+            # the only MUSIC path for dead-port windows.
+            with stage_boundary("dsp.music"):
+                spectra = np.stack(
+                    [
+                        normalize_pseudospectrum(
+                            masked_pseudospectrum(
+                                z_rows[i],
+                                v_rows[i],
+                                live,
+                                spacing_m=spacing,
+                                wavelength_m=float(wavelengths[i]),
+                                angles_deg=grid,
+                            ).spectrum
+                        )
+                        for i in range(w_e.size)
+                    ]
+                )
 
     n_windows = len(members)
     pseudo = (
@@ -434,8 +305,7 @@ def _pool_spectrum_group(
     if period is not None and powers is not None:
         period[w_e, f_e, t_e] = powers
     # Invalid frames repeat the tag's previous frame (zero for a
-    # missing first frame) — _fill_tag_frames, vectorised over the
-    # whole group.
+    # missing first frame), vectorised over the whole group.
     have = ok.transpose(0, 2, 1)  # (W, F, T)
     for f in range(1, frames):
         miss = ~have[:, f]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.channel.link import rssi_dbm_to_amplitude
-from repro.channel.params import ChannelParams
+from repro.channel.params import SPEED_OF_LIGHT, ChannelParams
 from repro.hardware.llrp import ReadLog
 
 
@@ -53,6 +53,42 @@ class TagSnapshots:
         return int(seen.sum()) >= min_antennas
 
 
+def frame_count(log: ReadLog) -> int:
+    """Frames a window spans on its dwell grid (1 for an empty log).
+
+    The frame count every builder uses when the caller does not force
+    one: dwells from the grid-snapped first read through the last read.
+    """
+    if not log.n_reads:
+        return 1
+    span = log.timestamp_s.max() - _grid_origin(log)
+    return max(1, int(np.ceil((span + 1e-9) / log.meta.dwell_s)))
+
+
+def _grid_origin(log: ReadLog) -> float:
+    """The first read's time snapped down onto the dwell grid.
+
+    The first *read* may fall mid-dwell (earlier reads lost to harvest
+    failures), but frames must align with hop boundaries or a frame
+    would mix two carriers.
+    """
+    if not log.n_reads:
+        return 0.0
+    dwell = log.meta.dwell_s
+    return float(np.floor(float(log.timestamp_s.min()) / dwell) * dwell)
+
+
+def tag_snapshot_set(
+    log: ReadLog, psi: np.ndarray, n_frames: int | None = None
+) -> list[TagSnapshots]:
+    """Snapshots for every tag over a common frame axis.
+
+    One window's slice of :func:`build_snapshots_many`; ``n_frames``
+    None takes :func:`frame_count` of the log.
+    """
+    return _window_snapshots(log, psi, n_frames, None)
+
+
 def build_snapshots(
     log: ReadLog,
     psi: np.ndarray,
@@ -65,7 +101,8 @@ def build_snapshots(
     Each read becomes a complex sample ``a * exp(1j * psi)`` where the
     amplitude comes from RSSI and ``psi`` is the (calibrated) doubled
     phase.  Reads are binned by (dwell, round-within-dwell, antenna);
-    duplicate bins keep the last read.
+    duplicate bins keep the last read.  This is one tag's slice of
+    :func:`build_snapshots_many` over the single window ``log``.
 
     Args:
         log: the full session read log.
@@ -80,151 +117,28 @@ def build_snapshots(
     Returns:
         The tag's :class:`TagSnapshots`.
     """
-    if len(psi) != log.n_reads:
-        raise ValueError("psi must align with the log")
-    params = channel_params or ChannelParams()
-    meta = log.meta
-    n_ant = meta.n_antennas
-    round_s = meta.slot_s * n_ant
-    rounds_per_dwell = max(1, int(round(meta.dwell_s / round_s)))
-
-    mask = log.tag_index == tag
-    t = log.timestamp_s[mask]
-    antennas = log.antenna[mask]
-    psi_tag = psi[mask]
-    amps = rssi_dbm_to_amplitude(log.rssi_dbm[mask], params)
-    freqs = log.frequency_hz[mask]
-
-    # Snap the origin onto the dwell grid: the first *read* may fall
-    # mid-dwell (earlier reads lost to harvest failures), but frames
-    # must align with hop boundaries or a frame would mix two carriers.
-    min_t = float(log.timestamp_s.min()) if log.n_reads else 0.0
-    t0 = np.floor(min_t / meta.dwell_s) * meta.dwell_s
-    dwell_idx = np.floor((t - t0) / meta.dwell_s).astype(int)
-    round_idx = np.floor((t - t0) / round_s).astype(int)
-    k_idx = round_idx - dwell_idx * rounds_per_dwell
-    k_idx = np.clip(k_idx, 0, rounds_per_dwell - 1)
-
-    if n_frames is None:
-        span = log.timestamp_s.max() - t0 if log.n_reads else 0.0
-        n_frames = max(1, int(np.ceil((span + 1e-9) / meta.dwell_s)))
-
-    z = np.zeros((n_frames, rounds_per_dwell, n_ant), dtype=np.complex128)
-    valid = np.zeros((n_frames, rounds_per_dwell, n_ant), dtype=bool)
-    wavelength = np.full(n_frames, np.nan)
-
-    in_range = (dwell_idx >= 0) & (dwell_idx < n_frames)
-    from repro.channel.params import SPEED_OF_LIGHT
-
-    f_sel = dwell_idx[in_range]
-    values = (amps * np.exp(1j * psi_tag))[in_range]
-    # Duplicate (dwell, round, antenna) bins keep the *last* read in
-    # log order, so pick each flat bin's final occurrence explicitly
-    # (fancy-index assignment leaves duplicate resolution unspecified).
-    flat = (f_sel * rounds_per_dwell + k_idx[in_range]) * n_ant + antennas[in_range]
-    bins, first_in_reversed = np.unique(flat[::-1], return_index=True)
-    last = flat.size - 1 - first_in_reversed
-    z.reshape(-1)[bins] = values[last]
-    valid.reshape(-1)[bins] = True
-    frames_seen, first_in_reversed = np.unique(f_sel[::-1], return_index=True)
-    wavelength[frames_seen] = (
-        SPEED_OF_LIGHT / freqs[in_range][f_sel.size - 1 - first_in_reversed]
-    )
-
-    # Frames never observed (tag missed for a whole dwell) get the
-    # band-centre wavelength so downstream steering stays finite.
-    centre = float(np.nanmean(wavelength)) if np.isfinite(wavelength).any() else 0.328
-    wavelength = np.where(np.isnan(wavelength), centre, wavelength)
-
-    frame_time = t0 + np.arange(n_frames) * meta.dwell_s
-    return TagSnapshots(
-        z=z, valid=valid, wavelength_m=wavelength, frame_time_s=frame_time
-    )
+    return _window_snapshots(log, psi, n_frames, channel_params)[tag]
 
 
-def build_snapshots_all(
+def _window_snapshots(
     log: ReadLog,
     psi: np.ndarray,
-    n_frames: int | None = None,
-    channel_params: ChannelParams | None = None,
+    n_frames: int | None,
+    channel_params: ChannelParams | None,
 ) -> list[TagSnapshots]:
-    """Assemble snapshots for *every* tag in one pass over the log.
-
-    Identical output to calling :func:`build_snapshots` per tag — the
-    tag index simply becomes the leading component of the flat bin
-    index, so binning, duplicate resolution and wavelength assignment
-    run once over the whole log instead of once per tag.  This is the
-    per-window cost that stays after a fleet shard pools its DSP
-    batches, so it must not scale with the tag count in Python.
-
-    Returns:
-        One :class:`TagSnapshots` per tag, indexed by tag.
-    """
-    if len(psi) != log.n_reads:
-        raise ValueError("psi must align with the log")
-    params = channel_params or ChannelParams()
-    meta = log.meta
-    n_ant = meta.n_antennas
-    n_tags = log.n_tags
-    round_s = meta.slot_s * n_ant
-    rounds_per_dwell = max(1, int(round(meta.dwell_s / round_s)))
-
-    t = log.timestamp_s
-    amps = rssi_dbm_to_amplitude(log.rssi_dbm, params)
-
-    min_t = float(t.min()) if log.n_reads else 0.0
-    t0 = np.floor(min_t / meta.dwell_s) * meta.dwell_s
-    dwell_idx = np.floor((t - t0) / meta.dwell_s).astype(int)
-    round_idx = np.floor((t - t0) / round_s).astype(int)
-    k_idx = round_idx - dwell_idx * rounds_per_dwell
-    k_idx = np.clip(k_idx, 0, rounds_per_dwell - 1)
-
-    if n_frames is None:
-        span = t.max() - t0 if log.n_reads else 0.0
-        n_frames = max(1, int(np.ceil((span + 1e-9) / meta.dwell_s)))
-
-    z = np.zeros((n_tags, n_frames, rounds_per_dwell, n_ant), dtype=np.complex128)
-    valid = np.zeros((n_tags, n_frames, rounds_per_dwell, n_ant), dtype=bool)
-    wavelength = np.full((n_tags, n_frames), np.nan)
-
-    in_range = (dwell_idx >= 0) & (dwell_idx < n_frames)
-    from repro.channel.params import SPEED_OF_LIGHT
-
-    tags_sel = log.tag_index[in_range]
-    f_sel = dwell_idx[in_range]
-    values = (amps * np.exp(1j * psi))[in_range]
-    # Duplicate (tag, dwell, round, antenna) bins keep the *last* read
-    # in log order, exactly like the per-tag builder.
-    flat = (
-        (tags_sel * n_frames + f_sel) * rounds_per_dwell + k_idx[in_range]
-    ) * n_ant + log.antenna[in_range]
-    bins, first_in_reversed = np.unique(flat[::-1], return_index=True)
-    last = flat.size - 1 - first_in_reversed
-    z.reshape(-1)[bins] = values[last]
-    valid.reshape(-1)[bins] = True
-    tf = tags_sel * n_frames + f_sel
-    tf_seen, first_in_reversed = np.unique(tf[::-1], return_index=True)
-    wavelength.reshape(-1)[tf_seen] = (
-        SPEED_OF_LIGHT / log.frequency_hz[in_range][tf.size - 1 - first_in_reversed]
+    """Per-tag views of one window binned as a batch of one."""
+    frames = frame_count(log) if n_frames is None else n_frames
+    z, valid, wavelength, frame_time = build_snapshots_many(
+        [log], [psi], frames, channel_params
     )
-
-    # Frames never observed get the tag's band-centre wavelength so
-    # downstream steering stays finite (0.328 m with no reads at all).
-    finite = np.isfinite(wavelength)
-    counts = finite.sum(axis=1)
-    sums = np.where(finite, wavelength, 0.0).sum(axis=1)
-    centre = np.where(counts > 0, sums / np.maximum(counts, 1), 0.328)
-    wavelength = np.where(np.isnan(wavelength), centre[:, None], wavelength)
-
-    frame_time = t0 + np.arange(n_frames) * meta.dwell_s
     return [
         TagSnapshots(
-            z=z[k],
-            valid=valid[k],
-            wavelength_m=wavelength[k],
-            frame_time_s=frame_time,
+            z=z[0, k],
+            valid=valid[0, k],
+            wavelength_m=wavelength[0, k],
+            frame_time_s=frame_time[0],
         )
-        for k in range(n_tags)
+        for k in range(log.n_tags)
     ]
 
 
@@ -236,26 +150,33 @@ def build_snapshots_many(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Bin *many* windows' reads into snapshots in one pass.
 
-    The fleet-shard extension of :func:`build_snapshots_all`: the
-    window index joins the tag index at the front of the flat bin, so
-    W windows cost one concatenate + one ``np.unique`` instead of W
-    binning passes.  Every window must share the same array geometry
-    (tag count, antennas, dwell/slot timing) and frame count — the
-    caller groups by exactly that key.  Slicing the outputs at one
-    window index reproduces :func:`build_snapshots_all` on that
-    window's ``(log, psi)`` bit for bit.
+    The only snapshot binner: the window and tag indices lead the flat
+    bin, so W windows cost one concatenate + one ``np.unique`` instead
+    of W binning passes, and :func:`build_snapshots` /
+    :func:`tag_snapshot_set` are slices of a batch of one.  Every
+    window must share the same array geometry (tag count, antennas,
+    dwell/slot timing) and frame count — the caller groups by exactly
+    that key.  Duplicate (window, tag, dwell, round, antenna) bins keep
+    the window's last read in log order.
 
     Args:
         logs: one read log per window.
         psis: doubled phases aligned with each log.
         n_frames: common frame count across the windows.
+        channel_params: link-budget constants for the RSSI inverse
+            mapping.
 
     Returns:
         ``(z, valid, wavelength_m, frame_time_s)`` stacked over
         windows: ``z`` and ``valid`` are ``(W, n_tags, F, K, N)``,
         ``wavelength_m`` is ``(W, n_tags, F)`` and ``frame_time_s``
         is ``(W, F)``.
+
+    Raises:
+        ValueError: when a ``psi`` does not align with its log.
     """
+    if any(len(psi) != log.n_reads for log, psi in zip(logs, psis)):
+        raise ValueError("each psi must align with its log")
     params = channel_params or ChannelParams()
     meta = logs[0].meta
     n_ant = meta.n_antennas
@@ -274,18 +195,8 @@ def build_snapshots_many(
     amps = rssi_dbm_to_amplitude(
         np.concatenate([log.rssi_dbm for log in logs]), params
     )
-    if len(psi) != t.size:
-        raise ValueError("each psi must align with its log")
 
-    # Per-window dwell-grid origin, exactly as the per-window builder.
-    t0_w = np.array(
-        [
-            np.floor(float(log.timestamp_s.min()) / meta.dwell_s) * meta.dwell_s
-            if log.n_reads
-            else 0.0
-            for log in logs
-        ]
-    )
+    t0_w = np.array([_grid_origin(log) for log in logs])
     rel = t - t0_w[w_idx]
     dwell_idx = np.floor(rel / meta.dwell_s).astype(int)
     round_idx = np.floor(rel / round_s).astype(int)
@@ -297,8 +208,6 @@ def build_snapshots_many(
     wavelength = np.full((n_windows, n_tags, n_frames), np.nan)
 
     in_range = (dwell_idx >= 0) & (dwell_idx < n_frames)
-    from repro.channel.params import SPEED_OF_LIGHT
-
     values = (amps * np.exp(1j * psi))[in_range]
     wt = w_idx[in_range] * n_tags + tags[in_range]
     f_sel = dwell_idx[in_range]
@@ -317,6 +226,9 @@ def build_snapshots_many(
         SPEED_OF_LIGHT / freqs[in_range][tf.size - 1 - first_in_reversed]
     )
 
+    # Frames never observed (tag missed for a whole dwell) get the
+    # tag's band-centre wavelength so downstream steering stays finite
+    # (0.328 m for a tag with no reads at all).
     finite = np.isfinite(wavelength)
     n_finite = finite.sum(axis=2)
     sums = np.where(finite, wavelength, 0.0).sum(axis=2)

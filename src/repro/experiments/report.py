@@ -31,17 +31,17 @@ substitutions).  Absolute accuracies are not expected to match the
 hardware testbed; the *shape* of each result is what is verified.
 Paper values marked `~` are read off a bar chart, not stated in text.
 
-Regenerate with `python scripts/run_experiments.py` (quick mode) or
-`pytest benchmarks/ --benchmark-only`.  Results live in a durable
-per-cell store (`.repro_cache/experiments/`, one JSON record per
-(experiment, mode, seed) — see DESIGN.md section 15): reruns skip
-completed cells, `--force` re-executes them, and each block's footer
-records the mode and seed that produced it, so quick and full runs or
-different seeds can coexist without overwriting each other.  Blocks
-tagged "recorded by the benchmark suite" come from the trimmed-budget
-benchmark pass and are correspondingly noisier.  Small held-out splits
-(12-48 samples) give the accuracies a granularity of several points;
-treat trends, not single cells, as the signal.
+Regenerate with `python scripts/run_experiments.py` (quick mode).
+Results live in a durable per-cell store (`.repro_cache/experiments/`,
+one JSON record per (experiment, mode, seed) — see DESIGN.md section
+15): reruns skip completed cells, `--force` re-executes them, and each
+block's footer records the mode and seed that produced it, so quick
+and full runs or different seeds can coexist without overwriting each
+other.  Blocks tagged "recorded by the benchmark suite" come from an
+earlier trimmed-budget benchmark pass and are correspondingly noisier.
+Small held-out splits (12-48 samples) give the accuracies a
+granularity of several points; treat trends, not single cells, as the
+signal.
 
 """
 

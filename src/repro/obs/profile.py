@@ -164,7 +164,7 @@ def run_batch_stage(window_logs: list, calibrator, repeat: int) -> dict:
             scalar reference beyond ``rtol=1e-12``.
     """
     from repro.dsp.correlation import spatial_covariance_stack
-    from repro.dsp.frames import tag_snapshot_set
+    from repro.dsp.snapshots import tag_snapshot_set
     from repro.dsp.music import (
         clear_steering_cache,
         music_pseudospectrum,

@@ -61,11 +61,6 @@ BAD_EXAMPLES: dict[str, tuple[str, str]] = {
         "from os.path import join\n"
         '__all__ = ["join", "missing_name"]\n',
     ),
-    "RPR006": (
-        "module.py",
-        "import numpy as np\n"
-        'x = np.zeros(3, dtype="float32")\n',
-    ),
     "RPR007": (
         "src/repro/module.py",
         "def report(x):\n"
@@ -136,11 +131,6 @@ GOOD_EXAMPLES: dict[str, tuple[str, str]] = {
         "from os.path import join\n"
         '__all__ = ["join"]\n',
     ),
-    "RPR006": (
-        "module.py",
-        "import numpy as np\n"
-        "x = np.zeros(3, dtype=np.float64)\n",
-    ),
     "RPR007": (
         "scripts/run.py",
         "def report(x):\n"
@@ -180,24 +170,17 @@ GOOD_EXAMPLES: dict[str, tuple[str, str]] = {
 }
 
 
-# Registered but demoted from the default selection (superseded by the
-# flow-aware RPR012 pack); exercised via explicit --select.
-LEGACY_CODES = {"RPR006"}
-
-
 @pytest.mark.parametrize("code", sorted(BAD_EXAMPLES))
 def test_bad_example_is_caught_with_its_code(code):
     path, source = BAD_EXAMPLES[code]
-    select = [code] if code in LEGACY_CODES else None
-    found = codes(lint_source(source, path=path, select=select))
+    found = codes(lint_source(source, path=path))
     assert code in found, f"{code} not raised; got {found}"
 
 
 @pytest.mark.parametrize("code", sorted(GOOD_EXAMPLES))
 def test_good_example_is_clean(code):
     path, source = GOOD_EXAMPLES[code]
-    select = [code] if code in LEGACY_CODES else None
-    found = codes(lint_source(source, path=path, select=select))
+    found = codes(lint_source(source, path=path))
     assert code not in found, f"{code} false positive: {found}"
 
 

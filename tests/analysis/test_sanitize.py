@@ -104,7 +104,7 @@ class TestModuleWrappers:
     def test_dtype_drift_flagged(self):
         rng = np.random.default_rng(0)
         layer = Dense(4, 3, rng)
-        x32 = np.ones((2, 4), dtype=np.float64).astype("float32")  # reprolint: disable=RPR006
+        x32 = np.ones((2, 4), dtype=np.float64).astype("float32")
         with anomaly_detection():
             with pytest.raises(AnomalyError) as excinfo:
                 layer.forward(x32)

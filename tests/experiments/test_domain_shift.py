@@ -117,6 +117,37 @@ class TestBenchAssembly:
             assert stats["same_env"]["seeds"] == [0, 1]
         assert len(doc["cells"]) == 4
 
+    def test_recovered_fraction_only_out_of_noise(self):
+        # The two directions of the committed quick artifact: the
+        # laboratory->hall gap (0.097) clears the arms' summed std
+        # (0.069) and keeps its fraction; the hall->laboratory gap
+        # (0.014) is inside it and reports None instead of -5.0.
+        from repro.experiments.metrics import aggregate_records
+
+        third = 1.0 / 3.0
+        arms = {
+            ("laboratory", "hall"): [
+                (0.25, 1 / 6, 5 / 18),
+                (third, 2 / 9, 5 / 18),
+            ],
+            ("hall", "laboratory"): [
+                (third, third, 2 / 9),
+                (5 / 12, 7 / 18, 13 / 36),
+            ],
+        }
+        fracs = {}
+        for (source, target), cells in arms.items():
+            records = [
+                fake_cell(source, target, seed, *values)
+                for seed, values in enumerate(cells)
+            ]
+            stats = ds._direction_summary(
+                aggregate_records(records), source, target
+            )
+            fracs[(source, target)] = stats["gap_recovered_frac"]
+        assert fracs[("laboratory", "hall")] == pytest.approx(6 / 7)
+        assert fracs[("hall", "laboratory")] is None
+
     def test_missing_arm_raises(self):
         record = self.fake_records()[0]
         record.rows = [r for r in record.rows if r["name"] != ds.ROW_CROSS]
