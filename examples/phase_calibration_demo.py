@@ -14,7 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dsp.angles import circular_median, fold_double, wrap_pm_pi
+from repro.dsp.angles import (
+    circular_median,
+    fold_double,
+    grouped_circular_median,
+    wrap_pm_pi,
+)
 from repro.dsp.calibration import PhaseCalibrator
 from repro.geometry import Vec2, make_laboratory
 from repro.hardware import Reader, ReaderConfig, UniformLinearArray
@@ -35,11 +40,8 @@ def main() -> None:
     log = reader.inventory(scene, 60.0)
     psi = fold_double(log.phase_rad)
     mask = log.antenna == 0
-    channels = np.unique(log.channel[mask])
+    channels, medians = grouped_circular_median(psi[mask], log.channel[mask])
     freqs = log.meta.frequencies_hz[channels] / 1e6
-    medians = np.array(
-        [circular_median(psi[mask & (log.channel == ch)]) for ch in channels]
-    )
 
     print("\nPer-channel median phase of a MOTIONLESS tag (antenna 0):")
     print(f"  spread across channels: {np.ptp(medians):.2f} rad "

@@ -8,12 +8,7 @@ from repro.channel.link import (
 )
 from repro.channel.model import BodyTrack, MultipathChannel, PathComponent
 from repro.channel.params import SPEED_OF_LIGHT, ChannelParams
-from repro.channel.vectorized import (
-    as_traj,
-    crossing_mask,
-    pairwise_distance,
-    segment_point_distance,
-)
+from repro.channel.vectorized import as_traj, pairwise_distance
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -23,10 +18,8 @@ __all__ = [
     "PathComponent",
     "above_noise_floor",
     "as_traj",
-    "crossing_mask",
     "gain_to_rssi_dbm",
     "harvest_mask",
     "pairwise_distance",
     "rssi_dbm_to_amplitude",
-    "segment_point_distance",
 ]

@@ -27,12 +27,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.channel.params import ChannelParams
-from repro.channel.vectorized import as_traj, crossing_mask, pairwise_distance
+from repro.channel.vectorized import as_traj, pairwise_distance
 from repro.geometry.room import Room
 from repro.geometry.shapes import WALLS
 
 _SCATTER_CROSS_SECTION = 0.8
 """Effective scattering cross-section (metres) of a point scatterer."""
+
+_ENDPOINT_MARGIN = 1e-6
+"""Tolerance (metres) for a leg endpoint coinciding with a blocker disc."""
 
 
 @dataclass(frozen=True)
@@ -111,11 +114,15 @@ class MultipathChannel:
     ) -> list[PathComponent]:
         """Enumerate every resolved path between antenna and tag.
 
+        Every path leg goes into one table first; :meth:`_blockage` then
+        evaluates the whole table against each blocker in turn.
+
         Args:
             antenna: antenna position, ``(2,)`` or per-step ``(T, 2)``.
             tag: tag position, ``(2,)`` or ``(T, 2)``.
             wavelength: carrier wavelength in metres, scalar or ``(T,)``.
-            bodies: moving torsos in the scene.
+            bodies: moving torsos in the scene; a one-position track is
+                a standing torso and broadcasts over the time axis.
             carrier: index into ``bodies`` of the torso wearing this
                 tag; that torso still blocks but does not generate a
                 scattered path (the tag sits on it, so the "path" would
@@ -129,56 +136,73 @@ class MultipathChannel:
         ant = as_traj(np.asarray(antenna, dtype=np.float64), steps)
         tag_t = as_traj(np.asarray(tag, dtype=np.float64), steps)
         lam = np.broadcast_to(np.asarray(wavelength, dtype=np.float64), (steps,))
+        centres = [b.positions[0] if b.steps == 1 else b.positions for b in bodies]
         amp0 = self.params.reference_amplitude
+        # Every straight leg as a (start, end) pair of (T, 2) trajectories.
+        legs: list[tuple[np.ndarray, np.ndarray]] = []
 
-        components: list[PathComponent] = []
+        def leg(start: np.ndarray, end: np.ndarray) -> int:
+            legs.append((start, end))
+            return len(legs) - 1
+
+        # (name, distance, amplitude, leg rows) per path, in output order.
+        paths: list[tuple[str, np.ndarray, np.ndarray, tuple[int, ...]]] = []
 
         # Direct ray.
         d0 = np.maximum(pairwise_distance(ant, tag_t), 0.05)
-        block = self._leg_blockage(ant, tag_t, bodies)
-        gain = (amp0 / d0) * block * np.exp(-2j * np.pi * d0 / lam)
-        components.append(PathComponent("direct", d0, gain))
+        paths.append(("direct", d0, amp0 / d0, (leg(ant, tag_t),)))
 
-        # First-order wall reflections via the image-source method.
+        # Wall reflections via the image-source method.
         if self.room.wall_reflectivity > 0.0:
+            rho = self.room.wall_reflectivity
             for wall in WALLS:
-                comp = self._wall_component(wall, ant, tag_t, lam, bodies)
-                components.append(comp)
+                image = self._mirror_traj(tag_t, wall)
+                d = np.maximum(pairwise_distance(ant, image), 0.05)
+                hit = self._wall_hit_point(ant, image, wall)
+                rows = (leg(ant, hit), leg(hit, tag_t))
+                paths.append((f"wall:{wall}", d, amp0 * rho / d, rows))
             if self.max_reflection_order >= 2:
-                components.extend(
-                    self._corner_components(ant, tag_t, lam, bodies)
-                )
+                # Corner images: mirroring across one horizontal and one
+                # vertical wall; the ray reflects off both, so it carries
+                # the coefficient squared.  Blockage is approximated on
+                # the end legs (antenna->first hit, second hit->tag),
+                # which dominate the in-room portion of the path; the
+                # second hit comes from the single-mirrored geometry.
+                rho2 = rho**2
+                for wall_a in ("left", "right"):
+                    for wall_b in ("bottom", "top"):
+                        single = self._mirror_traj(tag_t, wall_b)
+                        image = self._mirror_traj(single, wall_a)
+                        d = np.maximum(pairwise_distance(ant, image), 0.05)
+                        hit_a = self._wall_hit_point(ant, image, wall_a)
+                        hit_b = self._wall_hit_point(hit_a, single, wall_b)
+                        rows = (leg(ant, hit_a), leg(hit_b, tag_t))
+                        name = f"wall2:{wall_a}+{wall_b}"
+                        paths.append((name, d, amp0 * rho2 / d, rows))
 
-        # Furniture scatterers.
-        for idx, scatterer in enumerate(self.room.scatterers):
-            comp = self._scatter_component(
-                f"scatterer:{idx}",
-                np.asarray(scatterer.position.as_tuple()),
-                scatterer.reflectivity,
-                ant,
-                tag_t,
-                lam,
-                bodies,
-                skip_scatterer=idx,
-            )
-            components.append(comp)
+        # Furniture scatterers, then human torsos as dynamic scatterers:
+        # antenna -> scatterer -> tag.
+        scatter = [
+            (f"scatterer:{idx}", np.asarray(s.position.as_tuple()), s.reflectivity)
+            for idx, s in enumerate(self.room.scatterers)
+        ] + [
+            (f"body:{idx}", centre, self.params.body_reflectivity)
+            for idx, centre in enumerate(centres)
+            if carrier is None or idx != carrier
+        ]
+        for name, centre, reflectivity in scatter:
+            pos = as_traj(np.asarray(centre, dtype=np.float64), steps)
+            d1 = np.maximum(pairwise_distance(ant, pos), 0.05)
+            d2 = np.maximum(pairwise_distance(pos, tag_t), 0.05)
+            amp = amp0 * reflectivity * _SCATTER_CROSS_SECTION / (d1 * d2)
+            paths.append((name, d1 + d2, amp, (leg(ant, pos), leg(pos, tag_t))))
 
-        # Human torsos as dynamic scatterers.
-        for idx, body in enumerate(bodies):
-            if carrier is not None and idx == carrier:
-                continue
-            comp = self._scatter_component(
-                f"body:{idx}",
-                body.positions,
-                self.params.body_reflectivity,
-                ant,
-                tag_t,
-                lam,
-                bodies,
-                skip_body=idx,
-            )
-            components.append(comp)
-
+        factor = self._blockage(legs, bodies, centres)
+        components: list[PathComponent] = []
+        for name, d, amp, rows in paths:
+            block = factor[rows[0]] if len(rows) == 1 else factor[rows[0]] * factor[rows[1]]
+            gain = amp * block * np.exp(-2j * np.pi * d / lam)
+            components.append(PathComponent(name, d, gain))
         return components
 
     def one_way_gain(
@@ -242,84 +266,81 @@ class MultipathChannel:
                 raise ValueError("all body tracks must share the time axis")
         return steps
 
-    def _leg_blockage(
+    def _blockage(
         self,
-        a: np.ndarray,
-        b: np.ndarray,
+        legs: list[tuple[np.ndarray, np.ndarray]],
         bodies: tuple[BodyTrack, ...],
-        skip_body: int | None = None,
-        skip_scatterer: int | None = None,
+        centres: list[np.ndarray],
     ) -> np.ndarray:
-        """Multiplicative amplitude factor for discs crossed by leg a--b."""
-        steps = max(np.atleast_2d(a).shape[0], np.atleast_2d(b).shape[0])
-        factor = np.ones(steps)
-        for idx, body in enumerate(bodies):
-            if idx == skip_body:
-                continue
-            mask = crossing_mask(a, b, body.positions, body.radius)
-            factor = np.where(mask, factor * self.params.body_blockage, factor)
-        for idx, scat in enumerate(self.room.scatterers):
-            if idx == skip_scatterer:
-                continue
-            centre = np.asarray(scat.position.as_tuple())
-            mask = crossing_mask(a, b, centre, scat.radius)
-            factor = np.where(mask, factor * self.params.furniture_blockage, factor)
-        return factor
+        """Multiplicative amplitude factor of every leg: ``(legs, T)``.
 
-    def _wall_component(
-        self,
-        wall: str,
-        ant: np.ndarray,
-        tag: np.ndarray,
-        lam: np.ndarray,
-        bodies: tuple[BodyTrack, ...],
-    ) -> PathComponent:
-        """One first-order wall reflection, with blockage on both legs."""
-        image = self._mirror_traj(tag, wall)
-        d = np.maximum(pairwise_distance(ant, image), 0.05)
-        hit = self._wall_hit_point(ant, image, wall)
-        block = self._leg_blockage(ant, hit, bodies) * self._leg_blockage(
-            hit, tag, bodies
-        )
-        amp = self.params.reference_amplitude * self.room.wall_reflectivity / d
-        gain = amp * block * np.exp(-2j * np.pi * d / lam)
-        return PathComponent(f"wall:{wall}", d, gain)
-
-    def _corner_components(
-        self,
-        ant: np.ndarray,
-        tag: np.ndarray,
-        lam: np.ndarray,
-        bodies: tuple[BodyTrack, ...],
-    ) -> list[PathComponent]:
-        """Second-order (double-bounce) wall images.
-
-        Mirroring across one horizontal and one vertical wall composes
-        into a corner image; the ray reflects off both walls, so its
-        amplitude carries the wall coefficient squared.  Blockage is
-        approximated on the end legs (antenna->first wall hit and
-        second hit->tag), which dominate the in-room portion of the
-        path.
+        One vectorised pass per blocker over the whole ``(legs, T)``
+        table: bodies first, then furniture, so each leg multiplies its
+        losses in the same order as a per-leg loop would.  A disc never
+        blocks a leg with an endpoint inside it, which covers the legs
+        of the disc's own scattered path (they end at its centre).
+        Blockers are not broadcast together: a ``(legs, blockers, T)``
+        temporary costs far more memory than the loop over blockers
+        costs time.
         """
-        out: list[PathComponent] = []
-        rho2 = self.room.wall_reflectivity**2
-        for wall_a in ("left", "right"):
-            for wall_b in ("bottom", "top"):
-                image = self._mirror_traj(self._mirror_traj(tag, wall_b), wall_a)
-                d = np.maximum(pairwise_distance(ant, image), 0.05)
-                hit_a = self._wall_hit_point(ant, image, wall_a)
-                # The far leg re-enters the room after the second bounce;
-                # approximate its blockage by the corresponding segment
-                # from the single-mirrored geometry.
-                single = self._mirror_traj(tag, wall_b)
-                hit_b = self._wall_hit_point(hit_a, single, wall_b)
-                block = self._leg_blockage(ant, hit_a, bodies) * self._leg_blockage(
-                    hit_b, tag, bodies
-                )
-                amp = self.params.reference_amplitude * rho2 / d
-                gain = amp * block * np.exp(-2j * np.pi * d / lam)
-                out.append(PathComponent(f"wall2:{wall_a}+{wall_b}", d, gain))
-        return out
+        starts, ends = zip(*legs)
+        ax = np.stack([p[:, 0] for p in starts])
+        ay = np.stack([p[:, 1] for p in starts])
+        bx = np.stack([p[:, 0] for p in ends])
+        by = np.stack([p[:, 1] for p in ends])
+        dx = bx - ax
+        dy = by - ay
+        len_sq = dx * dx + dy * dy
+        degenerate = ~(len_sq > 0.0)
+        blockers = [
+            (centre, body.radius, self.params.body_blockage)
+            for body, centre in zip(bodies, centres)
+        ] + [
+            (np.asarray(s.position.as_tuple()), s.radius, self.params.furniture_blockage)
+            for s in self.room.scatterers
+        ]
+        factor = np.ones(ax.shape)
+        # Four (legs, T) scratch planes serve every blocker.  The in-place
+        # ufuncs below do the same per-element operations, in the same
+        # order, as the plain expressions in their comments.
+        px, py, t, w = (np.empty(ax.shape) for _ in range(4))
+        for centre, radius, loss in blockers:
+            cx, cy = centre[..., 0], centre[..., 1]
+            # p = centre - start;  t = clip(p.d / |d|^2, 0, 1), 0 when |d| = 0
+            np.subtract(cx, ax, out=px)
+            np.subtract(cy, ay, out=py)
+            np.multiply(px, dx, out=t)
+            np.multiply(py, dy, out=w)
+            t += w
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t /= len_sq
+            t[degenerate] = 0.0
+            np.clip(t, 0.0, 1.0, out=t)
+            # near = |centre - (start + t d)| <= radius
+            np.multiply(t, dy, out=w)
+            w += ay
+            np.subtract(cy, w, out=w)
+            w *= w
+            t *= dx
+            t += ax
+            np.subtract(cx, t, out=t)
+            t *= t
+            t += w
+            np.sqrt(t, out=t)
+            mask = t <= radius
+            # Blocked only with both endpoints outside the disc:
+            # mask &= ~(|p| <= reach) & ~(|centre - end| <= reach).
+            reach = radius + _ENDPOINT_MARGIN
+            np.subtract(cx, bx, out=w)
+            np.subtract(cy, by, out=t)
+            for qx, qy in ((px, py), (w, t)):
+                qx *= qx
+                qy *= qy
+                qx += qy
+                np.sqrt(qx, out=qx)
+                mask &= ~(qx <= reach)
+            np.multiply(factor, loss, out=factor, where=mask)
+        return factor
 
     def _mirror_traj(self, traj: np.ndarray, wall: str) -> np.ndarray:
         b = self.room.bounds
@@ -356,35 +377,3 @@ class MultipathChannel:
             )
         t = np.clip(t, 0.0, 1.0)
         return ant + t[:, None] * d
-
-    def _scatter_component(
-        self,
-        name: str,
-        scatter_pos: np.ndarray,
-        reflectivity: float,
-        ant: np.ndarray,
-        tag: np.ndarray,
-        lam: np.ndarray,
-        bodies: tuple[BodyTrack, ...],
-        skip_body: int | None = None,
-        skip_scatterer: int | None = None,
-    ) -> PathComponent:
-        """Path antenna -> scatterer -> tag with per-leg blockage."""
-        steps = ant.shape[0]
-        pos = as_traj(np.asarray(scatter_pos, dtype=np.float64), steps)
-        d1 = np.maximum(pairwise_distance(ant, pos), 0.05)
-        d2 = np.maximum(pairwise_distance(pos, tag), 0.05)
-        d = d1 + d2
-        block = self._leg_blockage(
-            ant, pos, bodies, skip_body=skip_body, skip_scatterer=skip_scatterer
-        ) * self._leg_blockage(
-            pos, tag, bodies, skip_body=skip_body, skip_scatterer=skip_scatterer
-        )
-        amp = (
-            self.params.reference_amplitude
-            * reflectivity
-            * _SCATTER_CROSS_SECTION
-            / (d1 * d2)
-        )
-        gain = amp * block * np.exp(-2j * np.pi * d / lam)
-        return PathComponent(name, d, gain)

@@ -2,7 +2,9 @@
 
 The channel model evaluates thousands of (path-leg, blocker, time-step)
 combinations per simulated sample.  These helpers operate on whole time
-axes at once so the simulator stays in numpy.
+axes at once so the simulator stays in numpy; the leg × blocker tests
+themselves run as one batched pass inside
+:meth:`repro.channel.model.MultipathChannel.path_components`.
 
 Shapes follow one convention: a trajectory is an ``(T, 2)`` float array
 of planar positions over ``T`` time steps; a static point may be passed
@@ -50,70 +52,3 @@ def pairwise_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         steps = 1
     ta, tb = as_traj(a, steps), as_traj(b, steps)
     return np.linalg.norm(ta - tb, axis=1)
-
-
-def segment_point_distance(
-    a: np.ndarray, b: np.ndarray, p: np.ndarray
-) -> np.ndarray:
-    """Distance from point trajectory ``p`` to segment ``a(t)--b(t)``.
-
-    All three arguments broadcast between static ``(2,)`` points and
-    ``(T, 2)`` trajectories.  Used for blockage tests: a path leg is
-    blocked at time ``t`` when this distance drops below the blocker
-    radius.
-
-    Returns:
-        ``(T,)`` shortest distances.
-    """
-    steps = max(
-        np.atleast_2d(np.asarray(a)).shape[0],
-        np.atleast_2d(np.asarray(b)).shape[0],
-        np.atleast_2d(np.asarray(p)).shape[0],
-    )
-    ta, tb, tp = as_traj(a, steps), as_traj(b, steps), as_traj(p, steps)
-    d = tb - ta
-    len_sq = np.einsum("ij,ij->i", d, d)
-    diff = tp - ta
-    # Parameter of the closest point, clamped to the segment.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(len_sq > 0.0, np.einsum("ij,ij->i", diff, d) / len_sq, 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    closest = ta + t[:, None] * d
-    return np.linalg.norm(tp - closest, axis=1)
-
-
-def crossing_mask(
-    a: np.ndarray,
-    b: np.ndarray,
-    blocker: np.ndarray,
-    radius: float,
-    *,
-    endpoint_margin: float = 1e-6,
-) -> np.ndarray:
-    """Boolean mask of time steps where the leg ``a--b`` crosses a disc.
-
-    A leg whose *endpoint* sits at the blocker centre (e.g. the path
-    terminates at the body that carries the tag) is not counted as
-    blocked by that body: blockage needs the disc strictly between the
-    endpoints.
-
-    Args:
-        a: leg start, ``(2,)`` or ``(T, 2)``.
-        b: leg end, ``(2,)`` or ``(T, 2)``.
-        blocker: disc centre, ``(2,)`` or ``(T, 2)``.
-        radius: disc radius in metres.
-        endpoint_margin: tolerance for endpoint coincidence.
-
-    Returns:
-        ``(T,)`` boolean array, True where blocked.
-    """
-    steps = max(
-        np.atleast_2d(np.asarray(a)).shape[0],
-        np.atleast_2d(np.asarray(b)).shape[0],
-        np.atleast_2d(np.asarray(blocker)).shape[0],
-    )
-    ta, tb, tc = as_traj(a, steps), as_traj(b, steps), as_traj(blocker, steps)
-    near = segment_point_distance(ta, tb, tc) <= radius
-    at_start = np.linalg.norm(ta - tc, axis=1) <= radius + endpoint_margin
-    at_end = np.linalg.norm(tb - tc, axis=1) <= radius + endpoint_margin
-    return near & ~at_start & ~at_end

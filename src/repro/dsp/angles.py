@@ -79,6 +79,53 @@ def circular_median(angles: np.ndarray) -> float:
     return float(wrap_2pi(centre + np.median(residuals)))
 
 
+def grouped_circular_median(
+    angles: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`circular_median` of every group of angles sharing a key.
+
+    Groups are gathered by one stable sort, so each keeps its angles in
+    input order, and groups of equal size are reduced together as one
+    ``(G, n)`` block along its rows.  A row reduction takes the same
+    pairwise sum as the 1-D reduction of one group, so every median is
+    bit-identical to ``circular_median(angles[keys == key])``.
+
+    Args:
+        angles: ``(R,)`` angles in radians.
+        keys: ``(R,)`` integer group key of every angle.
+
+    Returns:
+        ``(unique_keys, medians)``: the ``(G,)`` distinct keys in
+        ascending order and each group's median in ``[0, 2*pi)``.
+
+    Raises:
+        ValueError: when ``angles`` and ``keys`` are not matching 1-D
+            arrays.
+    """
+    arr = np.asarray(angles, dtype=np.float64)
+    keys = np.asarray(keys)
+    if arr.ndim != 1 or keys.shape != arr.shape:
+        raise ValueError(
+            f"angles and keys must be matching 1-D arrays, got {arr.shape} "
+            f"and {keys.shape}"
+        )
+    if arr.size == 0:
+        return keys, np.empty(0)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    values = arr[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    sizes = np.diff(np.r_[starts, arr.size])
+    medians = np.empty(starts.size)
+    for size in np.unique(sizes):
+        groups = np.flatnonzero(sizes == size)
+        block = values[starts[groups, None] + np.arange(size)]
+        centre = np.angle(np.exp(1j * block).mean(axis=1))
+        residuals = wrap_pm_pi(block - centre[:, None])
+        medians[groups] = wrap_2pi(centre + np.median(residuals, axis=1))
+    return sorted_keys[starts], medians
+
+
 def circular_distance(a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray:
     """Absolute angular distance in ``[0, pi]``."""
     return np.abs(wrap_pm_pi(np.asarray(a) - np.asarray(b)))

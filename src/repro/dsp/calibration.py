@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dsp.angles import circular_median, fold_double, wrap_2pi
+from repro.dsp.angles import fold_double, grouped_circular_median, wrap_2pi
 from repro.hardware.llrp import ReadLog
 from repro.obs.tracing import span
 
@@ -110,7 +110,8 @@ class PhaseCalibrator:
             A fitted calibrator covering every tag in the log.
 
         Raises:
-            ValueError: when the log is empty.
+            ValueError: when the log is empty, or a read's channel is
+                outside the reader's channel table.
         """
         if calibration_log.n_reads == 0:
             raise ValueError("calibration log is empty")
@@ -125,16 +126,23 @@ class PhaseCalibrator:
                 frequencies_hz=freqs, reference_channel=meta.reference_channel
             )
             psi = fold_double(calibration_log.phase_rad)
-            n_channels = freqs.size
-            for tag in range(calibration_log.n_tags):
-                tag_mask = calibration_log.tag_index == tag
-                for ant in range(meta.n_antennas):
-                    mask = tag_mask & (calibration_log.antenna == ant)
-                    offsets = np.full(n_channels, np.nan)
-                    for ch in np.unique(calibration_log.channel[mask]):
-                        ch_mask = mask & (calibration_log.channel == ch)
-                        offsets[ch] = circular_median(psi[ch_mask])
-                    calibrator._tables[(tag, ant)] = _fit_antenna(offsets, freqs)
+            n_tags, n_ants, n_ch = calibration_log.n_tags, meta.n_antennas, freqs.size
+            tags = calibration_log.tag_index
+            ants = calibration_log.antenna
+            channels = calibration_log.channel
+            # Reads of tags or ports outside the table are not calibrated.
+            known = (tags >= 0) & (tags < n_tags) & (ants >= 0) & (ants < n_ants)
+            if np.any((channels[known] < 0) | (channels[known] >= n_ch)):
+                raise ValueError("read channel outside the reader's channel table")
+            keys = ((tags * n_ants + ants) * n_ch + channels)[known]
+            observed, medians = grouped_circular_median(psi[known], keys)
+            # (tag, port, channel) offsets; NaN where never observed.
+            table = np.full(n_tags * n_ants * n_ch, np.nan)
+            table[observed] = medians
+            table = table.reshape(n_tags, n_ants, n_ch)
+            for tag in range(n_tags):
+                for ant in range(n_ants):
+                    calibrator._tables[(tag, ant)] = _fit_antenna(table[tag, ant], freqs)
         return calibrator
 
     def calibrate(self, log: ReadLog) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dsp.angles import circular_median, fold_double
+from repro.dsp.angles import fold_double, grouped_circular_median
 from repro.dsp.calibration import PhaseCalibrator
 from repro.dsp.correlation import spatial_covariance
 from repro.dsp.music import music_pseudospectrum
@@ -141,14 +141,8 @@ def run_fig03(quick: bool = True, seed: int = 0) -> ExperimentResult:
     psi = fold_double(log.phase_rad)
     antenna = 0
     mask = log.antenna == antenna
-    channels = np.unique(log.channel[mask])
+    channels, medians = grouped_circular_median(psi[mask], log.channel[mask])
     freqs_mhz = log.meta.frequencies_hz[channels] / 1e6
-    medians = np.array(
-        [
-            circular_median(psi[mask & (log.channel == ch)])
-            for ch in channels
-        ]
-    )
     order = np.argsort(freqs_mhz)
     unwrapped = np.unwrap(medians[order])
     slope, intercept = np.polyfit(freqs_mhz[order], unwrapped, 1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.geometry.shapes import Rectangle, Segment
+from repro.geometry.shapes import Rectangle
 from repro.geometry.vec import Vec2
 
 
@@ -64,25 +64,6 @@ class Room:
     def contains(self, p: Vec2, margin: float = 0.0) -> bool:
         """True when ``p`` is inside the floor rectangle."""
         return self.bounds.contains(p, margin)
-
-    def blockers_on(self, seg: Segment, exclude: Vec2 | None = None) -> int:
-        """Number of static scatterers whose disc the segment crosses.
-
-        Args:
-            seg: the propagation segment.
-            exclude: a scatterer position to ignore (used when the path
-                terminates *at* that scatterer).
-
-        Returns:
-            Count of crossed scatterer discs.
-        """
-        count = 0
-        for s in self.scatterers:
-            if exclude is not None and s.position.distance_to(exclude) < 1e-9:
-                continue
-            if seg.intersects_circle(s.position, s.radius):
-                count += 1
-        return count
 
 
 def make_laboratory(seed: int = 7) -> Room:

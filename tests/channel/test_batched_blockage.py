@@ -1,0 +1,180 @@
+"""The batched leg × blocker channel against the per-leg oracle, byte for byte.
+
+Production renders every path leg against each blocker in one
+vectorised pass over a ``(legs × slots)`` table; the oracle in
+:mod:`tests.channel.blockage_oracle` evaluates one ``crossing_mask``
+call per (leg, blocker).  Every comparison here is on raw bytes: the
+batched path must not move a single bit of a gain, a read log or a
+feature frame.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.channel import BodyTrack, ChannelParams, MultipathChannel
+from repro.data.generator import GenerationConfig, SyntheticDatasetGenerator
+from repro.dsp.calibration import PhaseCalibrator
+from repro.geometry import Rectangle, Room, Scatterer, Vec2
+from repro.hardware.llrp import ReadLog
+from repro.hardware.reader import Reader
+from tests.channel import blockage_oracle
+from tests.dsp import calibration_oracle
+
+LOG_FIELDS = (
+    "tag_index",
+    "antenna",
+    "channel",
+    "frequency_hz",
+    "timestamp_s",
+    "phase_rad",
+    "rssi_dbm",
+)
+
+
+def assert_same_components(got, want) -> None:
+    assert [c.name for c in got] == [c.name for c in want]
+    for g, w in zip(got, want):
+        assert g.distance.tobytes() == w.distance.tobytes(), g.name
+        assert g.gain.tobytes() == w.gain.tobytes(), g.name
+
+
+def assert_same_log(got: ReadLog, want: ReadLog) -> None:
+    assert got.epcs == want.epcs
+    for name in LOG_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def render(monkeypatch, cfg: GenerationConfig, order: int, oracle: bool):
+    """``generate_raw`` + ``featurize`` with one channel and fit implementation."""
+    with monkeypatch.context() as patch:
+        init = Reader.__init__
+
+        def reader_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self.channel.max_reflection_order = order
+
+        patch.setattr(Reader, "__init__", reader_init)
+        if oracle:
+            patch.setattr(MultipathChannel, "path_components", blockage_oracle.path_components)
+            patch.setattr(PhaseCalibrator, "fit", staticmethod(calibration_oracle.fit))
+        else:
+            # Every production render is also checked call by call.
+            batched = MultipathChannel.path_components
+
+            def checked(self, *args, **kwargs):
+                got = batched(self, *args, **kwargs)
+                assert_same_components(got, blockage_oracle.path_components(self, *args, **kwargs))
+                return got
+
+            patch.setattr(MultipathChannel, "path_components", checked)
+        generator = SyntheticDatasetGenerator(cfg)
+        raw = generator.generate_raw()
+        return raw, generator.featurize(raw)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("persons", [1, 2, 3])
+@pytest.mark.parametrize("environment", ["laboratory", "hall"])
+def test_corpus_matches_oracle(monkeypatch, environment, persons, order, seed):
+    cfg = GenerationConfig(
+        environment=environment,
+        scenario_labels=("A01",),
+        samples_per_class=1,
+        n_persons=persons,
+        tags_per_person=2,
+        duration_s=1.6,
+        calibration_s=3.0,
+        seed=seed,
+    )
+    raw, dataset = render(monkeypatch, cfg, order, oracle=False)
+    raw_ref, dataset_ref = render(monkeypatch, cfg, order, oracle=True)
+    for sample, ref in zip(raw, raw_ref, strict=True):
+        assert_same_log(sample.calibration_log, ref.calibration_log)
+        assert_same_log(sample.log, ref.log)
+    for frames, ref in zip(dataset.samples, dataset_ref.samples, strict=True):
+        assert sorted(frames.channels) == sorted(ref.channels)
+        for name, value in frames.channels.items():
+            assert value.tobytes() == ref.channels[name].tobytes(), name
+
+
+# -- random scenes ------------------------------------------------------------
+
+ROOM = Rectangle(0.0, 0.0, 6.0, 5.0)
+# A coarse grid makes exact coincidences (a disc centred on a leg
+# endpoint, two discs on one spot) common rather than measure-zero.
+grid_point = st.tuples(
+    st.integers(min_value=1, max_value=11).map(lambda i: i * 0.5),
+    st.integers(min_value=1, max_value=9).map(lambda i: i * 0.5),
+)
+
+
+@st.composite
+def scenes(draw):
+    steps = draw(st.integers(min_value=1, max_value=5))
+
+    def trajectory(moving: bool) -> np.ndarray:
+        if not moving:
+            return np.array(draw(grid_point))
+        return np.array([draw(grid_point) for _ in range(steps)])
+
+    antenna = trajectory(draw(st.booleans()))
+    tag = trajectory(draw(st.booleans()))
+    anchors = [np.atleast_2d(antenna)[0], np.atleast_2d(tag)[0]]
+    scatterers = tuple(
+        Scatterer(
+            Vec2(*(anchors[1] if draw(st.booleans()) else draw(grid_point))),
+            draw(st.sampled_from([0.2, 0.5, 1.0])),
+            0.6,
+        )
+        for _ in range(draw(st.integers(min_value=0, max_value=3)))
+    )
+    bodies = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(["moving", "static", "on_tag", "on_antenna"]))
+        if kind == "moving":
+            positions = np.array([draw(grid_point) for _ in range(steps)])
+        elif kind == "static":
+            positions = np.tile(draw(grid_point), (steps, 1))
+        elif kind == "on_tag":
+            positions = np.broadcast_to(tag, (steps, 2)).copy()
+        else:
+            positions = np.broadcast_to(antenna, (steps, 2)).copy()
+        bodies.append(BodyTrack(positions, radius=draw(st.sampled_from([0.18, 0.5]))))
+    carrier = draw(st.sampled_from([None, *range(len(bodies))]))
+    room = Room(
+        bounds=ROOM,
+        wall_reflectivity=draw(st.sampled_from([0.0, 0.45])),
+        scatterers=scatterers,
+    )
+    channel = MultipathChannel(
+        room=room,
+        params=ChannelParams(diffuse_level=0.0),
+        max_reflection_order=draw(st.sampled_from([1, 2])),
+    )
+    per_slot = np.ndim(antenna) == 2 and draw(st.booleans())
+    lam = np.linspace(0.32, 0.34, steps) if per_slot else 0.328
+    return channel, antenna, tag, lam, tuple(bodies), carrier
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenes())
+def test_random_blockers_match_oracle(scene):
+    channel, antenna, tag, lam, bodies, carrier = scene
+    got = channel.path_components(antenna, tag, lam, bodies, carrier)
+    want = blockage_oracle.path_components(channel, antenna, tag, lam, bodies, carrier)
+    assert_same_components(got, want)
+    if np.ndim(antenna) == 2 or np.ndim(tag) == 2:
+        # A standing torso given as one position renders like its tiled
+        # track (the oracle only accepts the tiled form).
+        standing = tuple(
+            BodyTrack(b.positions[:1], b.radius) if (b.positions == b.positions[0]).all() else b
+            for b in bodies
+        )
+        got = channel.path_components(antenna, tag, lam, standing, carrier)
+        assert_same_components(got, want)

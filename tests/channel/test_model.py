@@ -161,6 +161,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             channel.path_components(ANT, TAG, LAM, bodies=(b1, b2))
 
+    def test_one_position_body_broadcasts(self):
+        # A standing torso given as a single position renders exactly
+        # like the same torso tiled over the antenna's time axis.
+        channel = clean_channel(make_laboratory())
+        ant = np.column_stack([np.linspace(5.0, 7.0, 5), np.full(5, 2.0)])
+        tag = np.array([6.0, 4.0])
+        one = channel.one_way_gain(ant, tag, LAM, bodies=(BodyTrack([[3.0, 3.0]]),))
+        tiled = channel.one_way_gain(
+            ant, tag, LAM, bodies=(BodyTrack(np.tile([3.0, 3.0], (5, 1))),)
+        )
+        assert one.shape == (5,)
+        assert one.tobytes() == tiled.tobytes()
+
     def test_channel_params_validation(self):
         with pytest.raises(ValueError):
             ChannelParams(body_blockage=1.5)

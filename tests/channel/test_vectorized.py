@@ -1,4 +1,4 @@
-"""Vectorised geometry kernels vs their scalar counterparts."""
+"""Vectorised geometry kernels and the blockage oracle vs scalar geometry."""
 
 from __future__ import annotations
 
@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.channel import as_traj, crossing_mask, pairwise_distance, segment_point_distance
+from repro.channel import as_traj, pairwise_distance
 from repro.geometry import Segment, Vec2
+from tests.channel.blockage_oracle import crossing_mask, segment_point_distance
 
 coord = st.floats(min_value=-50, max_value=50, allow_nan=False)
 

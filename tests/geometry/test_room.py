@@ -8,7 +8,6 @@ from repro.geometry import (
     Rectangle,
     Room,
     Scatterer,
-    Segment,
     Vec2,
     make_hall,
     make_laboratory,
@@ -34,26 +33,6 @@ class TestRoom:
     def test_wall_reflectivity_bounds(self):
         with pytest.raises(ValueError):
             Room(bounds=Rectangle(0, 0, 5, 5), wall_reflectivity=2.0)
-
-    def test_blockers_on_counts_crossings(self):
-        room = Room(
-            bounds=Rectangle(0, 0, 10, 10),
-            scatterers=(
-                Scatterer(Vec2(5, 5), 0.5, 0.5),
-                Scatterer(Vec2(8, 8), 0.5, 0.5),
-            ),
-        )
-        seg = Segment(Vec2(0, 0), Vec2(10, 10))
-        assert room.blockers_on(seg) == 2
-
-    def test_blockers_on_exclude(self):
-        pos = Vec2(5, 5)
-        room = Room(
-            bounds=Rectangle(0, 0, 10, 10),
-            scatterers=(Scatterer(pos, 0.5, 0.5),),
-        )
-        seg = Segment(Vec2(0, 0), Vec2(10, 10))
-        assert room.blockers_on(seg, exclude=pos) == 0
 
 
 class TestPresets:
