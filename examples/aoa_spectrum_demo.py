@@ -18,10 +18,7 @@ import numpy as np
 
 from repro.channel.model import BodyTrack
 from repro.dsp.calibration import PhaseCalibrator
-from repro.dsp.correlation import spatial_covariance
-from repro.dsp.frames import normalize_pseudospectrum
-from repro.dsp.music import music_pseudospectrum
-from repro.dsp.snapshots import build_snapshots
+from repro.dsp.frames import normalize_pseudospectrum, tag_music_spectra
 from repro.geometry import Vec2, make_laboratory
 from repro.hardware import Reader, ReaderConfig, Scene, TagTrack, UniformLinearArray
 from repro.hardware.scene import stationary_scene
@@ -46,20 +43,7 @@ def frame_spectra(reader: Reader, scene: Scene, duration: float, tag: int = 0):
     calibrator = PhaseCalibrator.fit(reader.inventory(frozen, 20.0))
     log = reader.inventory(scene, duration)
     psi = calibrator.calibrate(log)
-    snaps = build_snapshots(log, psi, tag)
-    out = []
-    for f in range(snaps.n_frames):
-        if not snaps.frame_valid(f):
-            continue
-        cov = spatial_covariance(snaps.z[f], snaps.valid[f])
-        out.append(
-            music_pseudospectrum(
-                cov,
-                spacing_m=log.meta.spacing_m,
-                wavelength_m=float(snaps.wavelength_m[f]),
-            )
-        )
-    return out
+    return tag_music_spectra(log, psi, tag)
 
 
 def _freeze(scene: Scene, n_slots: int) -> Scene:

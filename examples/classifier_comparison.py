@@ -40,21 +40,21 @@ def main() -> None:
         print("note: below ~12 samples/class the comparison is noise-"
               "dominated (tiny test split); the deep model's lead needs data.")
     print(f"Simulating {args.classes} classes x {args.samples} samples ...")
-    t0 = time.time()
+    t0 = time.perf_counter()
     dataset = get_dataset(config)
-    print(f"  done in {time.time() - t0:.0f} s")
+    print(f"  done in {time.perf_counter() - t0:.0f} s")
 
     print("Training M2AI ...")
-    t0 = time.time()
+    t0 = time.perf_counter()
     m2ai, _ = train_eval_m2ai(
         dataset, M2AIConfig(epochs=35, batch_size=12, seed=args.seed), split_seed=args.seed
     )
-    print(f"  done in {time.time() - t0:.0f} s")
+    print(f"  done in {time.perf_counter() - t0:.0f} s")
 
     print("Training the ten conventional baselines ...")
-    t0 = time.time()
+    t0 = time.perf_counter()
     scores = eval_baselines(dataset, split_seed=args.seed)
-    print(f"  done in {time.time() - t0:.0f} s\n")
+    print(f"  done in {time.perf_counter() - t0:.0f} s\n")
 
     ladder = {"M2AI (CNN+LSTM)": m2ai.accuracy}
     ladder.update(dict(sorted(scores.items(), key=lambda kv: -kv[1])))

@@ -49,18 +49,18 @@ def main() -> None:
     for label in labels:
         print(f"  {label}: {SCENARIOS[label].description}")
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     dataset = SyntheticDatasetGenerator(config).generate()
     print(f"Simulated + featurised {len(dataset)} samples "
-          f"in {time.time() - t0:.0f} s; channels: {dataset.channel_shapes}")
+          f"in {time.perf_counter() - t0:.0f} s; channels: {dataset.channel_shapes}")
 
     train, test = dataset.split(0.2, np.random.default_rng(args.seed))
     print(f"Training M2AI (CNN+LSTM) on {len(train)} samples ...")
-    t0 = time.time()
+    t0 = time.perf_counter()
     pipeline = M2AIPipeline(M2AIConfig(epochs=35, batch_size=12, seed=args.seed))
     pipeline.fit(train, val=test)
     result = pipeline.evaluate(test)
-    print(f"Done in {time.time() - t0:.0f} s.")
+    print(f"Done in {time.perf_counter() - t0:.0f} s.")
     print(f"\nHeld-out accuracy: {result.accuracy:.1%}  "
           f"({len(test)} test samples)")
     print("\nConfusion matrix (prediction rows / actual columns):")

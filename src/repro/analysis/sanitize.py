@@ -262,9 +262,15 @@ def _check_music_result(out: object, stage: str, cfg: _Config) -> None:
     _check_array(getattr(out, "eigenvalues", None), stage, "eigenvalues", cfg)
 
 
+def _check_tuple_result(out: tuple, stage: str, cfg: _Config) -> None:
+    for i, item in enumerate(out):
+        _check_array(item, stage, f"output[{i}]", cfg)
+
+
 def _check_frames_result(out: object, stage: str, cfg: _Config) -> None:
-    for name, channel in getattr(out, "channels", {}).items():
-        _check_array(channel, stage, f"channel {name!r}", cfg)
+    for frames in out if isinstance(out, list) else [out]:
+        for name, channel in getattr(frames, "channels", {}).items():
+            _check_array(channel, stage, f"channel {name!r}", cfg)
 
 
 def _patch_everywhere(
@@ -303,12 +309,26 @@ def _arm_modules(cfg: _Config, undo: list[Callable[[], None]]) -> None:
 def _arm_dsp(cfg: _Config, undo: list[Callable[[], None]]) -> None:
     from repro.dsp import calibration, frames, music, periodogram
 
+    # The stacked kernels are what featurisation, streaming and the
+    # fleet run; the single-item names are batch-of-one slices of them,
+    # wrapped too so a caller of a slice sees the slice's stage name.
     targets: list[tuple[Callable, str, Callable]] = [
+        (music.music_spectra_batch, "repro.dsp.music.music_spectra_batch", _check_tuple_result),
+        (
+            music.masked_spectra_batch,
+            "repro.dsp.music.masked_spectra_batch",
+            _check_tuple_result,
+        ),
         (music.music_pseudospectrum, "repro.dsp.music.music_pseudospectrum", _check_music_result),
         (
             music.masked_pseudospectrum,
             "repro.dsp.music.masked_pseudospectrum",
             _check_music_result,
+        ),
+        (
+            periodogram.spatial_periodogram_batch,
+            "repro.dsp.periodogram.spatial_periodogram_batch",
+            _check_ndarray_result,
         ),
         (
             periodogram.periodogram_psd,
@@ -319,6 +339,11 @@ def _arm_dsp(cfg: _Config, undo: list[Callable[[], None]]) -> None:
             periodogram.spatial_periodogram,
             "repro.dsp.periodogram.spatial_periodogram",
             _check_ndarray_result,
+        ),
+        (
+            frames.build_spectrum_frames_many,
+            "repro.dsp.frames.build_spectrum_frames_many",
+            _check_frames_result,
         ),
         (
             frames.build_spectrum_frames,

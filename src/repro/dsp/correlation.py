@@ -13,67 +13,38 @@ from __future__ import annotations
 import numpy as np
 
 
-def sample_covariance(snapshots: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
-    """Sample spatial covariance ``R = E[x x^H]`` over snapshots.
-
-    Args:
-        snapshots: ``(K, N)`` complex array, one row per snapshot.
-        valid: optional ``(K, N)`` mask; snapshots missing any antenna
-            are dropped, and when *every* snapshot has gaps the gaps
-            are zero-filled (conservative fallback).
-
-    Returns:
-        ``(N, N)`` Hermitian covariance.
-
-    Raises:
-        ValueError: when no snapshot is available at all.
-    """
-    x = np.asarray(snapshots, dtype=np.complex128)
-    if x.ndim != 2:
-        raise ValueError("snapshots must be (K, N)")
-    if valid is not None:
-        complete = valid.all(axis=1)
-        if complete.any():
-            x = x[complete]
-        elif not valid.any():
-            raise ValueError("no valid snapshots")
-        else:
-            x = np.where(valid, x, 0.0)
-    if x.shape[0] == 0:
-        raise ValueError("no valid snapshots")
-    # R[i, j] = E[x_i * conj(x_j)] — rows of ``x`` are snapshots.
-    return x.T @ x.conj() / x.shape[0]
-
-
-def forward_backward(r: np.ndarray) -> np.ndarray:
-    """Forward-backward averaged covariance ``(R + J R* J) / 2``.
-
-    ``J`` is the exchange matrix.  For a ULA this doubles the effective
-    snapshot count and de-correlates coherent path pairs.
-    """
-    r = np.asarray(r)
-    n = r.shape[0]
-    j = np.eye(n)[::-1]
-    return 0.5 * (r + j @ r.conj() @ j)
-
-
-def diagonal_load(r: np.ndarray, level: float = 1e-6) -> np.ndarray:
-    """Add ``level * trace(R)/N`` to the diagonal for numerical safety."""
-    n = r.shape[0]
-    return r + np.eye(n) * (level * np.trace(r).real / n)
-
-
 def spatial_covariance(
     snapshots: np.ndarray,
     valid: np.ndarray | None = None,
     use_forward_backward: bool = True,
     loading: float = 1e-6,
 ) -> np.ndarray:
-    """The full covariance pipeline used by the pseudospectrum stage."""
-    r = sample_covariance(snapshots, valid)
-    if use_forward_backward:
-        r = forward_backward(r)
-    return diagonal_load(r, loading)
+    """Spatial covariance of one dwell's snapshots.
+
+    A batch of one of :func:`spatial_covariance_stack`.
+
+    Args:
+        snapshots: ``(K, N)`` complex array, one row per snapshot.
+        valid: optional ``(K, N)`` observation mask.
+        use_forward_backward: apply FB averaging (ULA de-correlation).
+        loading: diagonal loading level.
+
+    Returns:
+        ``(N, N)`` Hermitian covariance.
+
+    Raises:
+        ValueError: on a non-2-D input or when no snapshot is
+            available at all.
+    """
+    x = np.asarray(snapshots, dtype=np.complex128)
+    if x.ndim != 2:
+        raise ValueError("snapshots must be (K, N)")
+    return spatial_covariance_stack(
+        x[None],
+        None if valid is None else np.asarray(valid)[None],
+        use_forward_backward=use_forward_backward,
+        loading=loading,
+    )[0]
 
 
 def spatial_covariance_stack(
@@ -82,15 +53,16 @@ def spatial_covariance_stack(
     use_forward_backward: bool = True,
     loading: float = 1e-6,
 ) -> np.ndarray:
-    """:func:`spatial_covariance` for a whole stack of dwells at once.
+    """The spatial covariance kernel: one stacked pass over W dwells.
 
-    The per-window snapshot selection (drop incomplete rows when a
-    complete one exists, zero-fill the gaps otherwise) becomes a 0/1
-    row weighting, and the covariance products, forward-backward
-    averaging and diagonal loading all run as one stacked matmul chain
-    instead of W separate calls.  A zero-weighted row contributes
-    exactly nothing to the Gram product, so each window's matrix equals
-    the scalar pipeline's output.
+    Sample covariance ``R = E[x x^H]`` over each dwell's snapshots,
+    then forward-backward averaging ``(R + J R* J) / 2`` (``J`` the
+    exchange matrix) and diagonal loading by ``loading * trace(R)/N``.
+    The per-window snapshot selection (only complete rows count when a
+    complete one exists; otherwise every row counts with its gaps
+    zero-filled) is a 0/1 row weighting, so the whole stack runs as one
+    matmul chain.  A zero-weighted row contributes nothing to the Gram
+    product, which is what makes pooling dwells exact.
 
     Args:
         snapshots: ``(W, K, N)`` complex snapshots.
@@ -102,15 +74,17 @@ def spatial_covariance_stack(
         ``(W, N, N)`` stack of Hermitian covariances.
 
     Raises:
-        ValueError: on a non-3-D stack or a window with no observed
-            snapshot at all.
+        ValueError: on a non-3-D stack, or when some window has no
+            rounds or no observed snapshot at all.
     """
     x = np.asarray(snapshots, dtype=np.complex128)
     if x.ndim != 3:
         raise ValueError("snapshots must be (W, K, N)")
-    n_windows, _n_rounds, n = x.shape
+    n_windows, n_rounds, n = x.shape
     if n_windows == 0:
         return np.zeros((0, n, n), dtype=np.complex128)
+    if n_rounds == 0:
+        raise ValueError("no valid snapshots")
     if valid is not None:
         if valid.shape != x.shape:
             raise ValueError("valid must match snapshots")

@@ -19,11 +19,12 @@ import numpy as np
 from repro.dsp.correlation import spatial_covariance_stack
 from repro.dsp.music import (
     DEFAULT_ANGLES_DEG,
-    masked_pseudospectrum,
+    MusicResult,
+    masked_spectra_batch,
     music_spectra_batch,
 )
 from repro.dsp.periodogram import spatial_periodogram_batch
-from repro.dsp.snapshots import build_snapshots_many, frame_count
+from repro.dsp.snapshots import build_snapshots, build_snapshots_many, frame_count
 from repro.hardware.llrp import ReadLog
 from repro.obs.tracing import span
 from repro.runtime.breaker import stage_boundary
@@ -67,6 +68,44 @@ def power_to_db(power: np.ndarray, floor_db: float = -120.0) -> np.ndarray:
     """
     p = np.asarray(power, dtype=np.float64)
     return np.maximum(10.0 * np.log10(np.maximum(p, 1e-30)), floor_db)
+
+
+def tag_music_spectra(
+    log: ReadLog, psi: np.ndarray, tag: int, n_frames: int | None = None
+) -> list[MusicResult]:
+    """MUSIC pseudospectra of one tag's usable dwells, in frame order.
+
+    A dwell is usable when the tag was observed on at least two ports
+    (:meth:`~repro.dsp.snapshots.TagSnapshots.frame_valid`); all of
+    them go through one stacked covariance and one MUSIC call on the
+    full healthy array and the paper's 180-angle grid.
+
+    Args:
+        log: session read log.
+        psi: doubled phases aligned with the log.
+        tag: tag index.
+        n_frames: force the frame count.
+
+    Returns:
+        One :class:`~repro.dsp.music.MusicResult` per usable dwell
+        (empty when there is none).
+    """
+    snaps = build_snapshots(log, psi, tag, n_frames=n_frames)
+    usable = np.flatnonzero(snaps.valid.any(axis=1).sum(axis=1) >= 2)
+    covs = spatial_covariance_stack(snaps.z[usable], snaps.valid[usable])
+    spectra, dims, eigvals = music_spectra_batch(
+        covs, log.meta.spacing_m, snaps.wavelength_m[usable]
+    )
+    grid = np.asarray(DEFAULT_ANGLES_DEG, dtype=np.float64)
+    return [
+        MusicResult(
+            angles_deg=grid,
+            spectrum=spectra[i],
+            n_sources=int(dims[i]),
+            eigenvalues=eigvals[i],
+        )
+        for i in range(usable.size)
+    ]
 
 
 @dataclass
@@ -175,11 +214,10 @@ def build_spectrum_frames_many(
 
     Windows are grouped by array geometry, frame count and antenna
     liveness mask.  A group with a dead port (but at least two live
-    ones) runs MUSIC on the surviving subarray one dwell at a time
-    (:func:`~repro.dsp.music.masked_pseudospectrum` — its covariances
-    live on a different element layout) and re-normalises the
-    periodogram to the live aperture; fewer than two live ports leave
-    the pseudospectrum channel zero.
+    ones) runs its one stacked MUSIC call on the surviving subarray
+    (:func:`~repro.dsp.music.masked_spectra_batch`) and re-normalises
+    the periodogram to the live aperture; fewer than two live ports
+    leave the pseudospectrum channel zero.
 
     Args:
         windows: ``(log, psi, n_frames)`` per window; ``n_frames``
@@ -237,7 +275,6 @@ def _pool_spectrum_group(
     """
     n_tags, frames, n_ant, _dwell, _slot, spacing, _live = key
     live = members[0][3]
-    healthy = bool(live.all())
     with stage_boundary("dsp.frames"):
         z, valid, wavelength, _frame_time = build_snapshots_many(
             [log for _w, log, _psi, _live in members],
@@ -257,39 +294,19 @@ def _pool_spectrum_group(
         if include_period:
             with stage_boundary("dsp.periodogram"):
                 powers = power_to_db(
-                    spatial_periodogram_batch(
-                        z_rows, v_rows, liveness=None if healthy else live
-                    )
+                    spatial_periodogram_batch(z_rows, v_rows, liveness=live)
                 )
-        if include_pseudo and healthy:
+        if include_pseudo and int(live.sum()) >= 2:
             with stage_boundary("dsp.music"):
-                covs = spatial_covariance_stack(z_rows, v_rows)
-                raw, _dims, _eigs = music_spectra_batch(
-                    covs,
+                raw, _dims, _eigs = masked_spectra_batch(
+                    z_rows,
+                    v_rows,
+                    live,
                     spacing_m=spacing,
                     wavelength_m=wavelengths,
                     angles_deg=grid,
                 )
                 spectra = normalize_pseudospectrum(raw)
-        elif include_pseudo and int(live.sum()) >= 2:
-            # The masked subarray has no stacked kernel: this row loop is
-            # the only MUSIC path for dead-port windows.
-            with stage_boundary("dsp.music"):
-                spectra = np.stack(
-                    [
-                        normalize_pseudospectrum(
-                            masked_pseudospectrum(
-                                z_rows[i],
-                                v_rows[i],
-                                live,
-                                spacing_m=spacing,
-                                wavelength_m=float(wavelengths[i]),
-                                angles_deg=grid,
-                            ).spectrum
-                        )
-                        for i in range(w_e.size)
-                    ]
-                )
 
     n_windows = len(members)
     pseudo = (

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dsp.correlation import spatial_covariance
-from repro.dsp.music import music_pseudospectrum
-from repro.dsp.snapshots import build_snapshots
+from repro.dsp.frames import tag_music_spectra
 from repro.hardware.antenna import UniformLinearArray
 from repro.hardware.llrp import ReadLog
 
@@ -51,30 +49,15 @@ def estimate_bearing(
     Raises:
         ValueError: when no frame has enough antennas observed.
     """
-    snaps = build_snapshots(log, psi, tag, n_frames=n_frames)
-    accumulated: np.ndarray | None = None
-    angles: np.ndarray | None = None
-    used = 0
-    for f in range(snaps.n_frames):
-        if not snaps.frame_valid(f):
-            continue
-        cov = spatial_covariance(snaps.z[f], snaps.valid[f])
-        result = music_pseudospectrum(
-            cov,
-            spacing_m=log.meta.spacing_m,
-            wavelength_m=float(snaps.wavelength_m[f]),
-        )
-        normalized = result.spectrum / result.spectrum.max()
-        accumulated = normalized if accumulated is None else accumulated + normalized
-        angles = result.angles_deg
-        used += 1
-    if accumulated is None or angles is None:
+    results = tag_music_spectra(log, psi, tag, n_frames=n_frames)
+    if not results:
         raise ValueError(f"tag {tag}: no usable frames for bearing estimation")
+    accumulated = sum(r.spectrum / r.spectrum.max() for r in results)
     peak = int(np.argmax(accumulated))
     return BearingEstimate(
-        angle_deg=float(angles[peak]),
-        power=float(accumulated[peak] / used),
-        n_frames=used,
+        angle_deg=float(results[0].angles_deg[peak]),
+        power=float(accumulated[peak] / len(results)),
+        n_frames=len(results),
     )
 
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.dsp.correlation import spatial_covariance_stack
+from repro.obs.metrics import counter
 from repro.obs.tracing import span
 
 PHASE_MULTIPLIER = 4.0
@@ -176,29 +178,28 @@ def clear_steering_cache() -> None:
 
 
 DEFAULT_GAP_RATIO = 0.08
-"""Eigenvalue-gap threshold shared by the scalar and batched paths."""
+"""Eigenvalue-gap threshold of :func:`estimate_n_sources`."""
 
 
-def estimate_n_sources(
-    eigenvalues: np.ndarray,
-    max_sources: int | None = None,
-    gap_ratio: float = DEFAULT_GAP_RATIO,
-) -> int:
+def estimate_n_sources(eigenvalues: np.ndarray) -> int | np.ndarray:
     """Signal-subspace dimension from the eigenvalue profile.
 
-    Counts eigenvalues above ``gap_ratio`` of the largest — a simple,
-    robust rule for small arrays (MDL/AIC need more snapshots than a
-    4-element dwell provides).
+    Counts eigenvalues above :data:`DEFAULT_GAP_RATIO` of the largest
+    — a simple, robust rule for small arrays (MDL/AIC need more
+    snapshots than a 4-element dwell provides).  The count is clipped
+    to ``[1, N-1]``.
+
+    Args:
+        eigenvalues: one profile ``(N,)`` or a stack ``(W, N)``.
 
     Returns:
-        An integer in ``[1, N-1]``.
+        An int for one profile, a ``(W,)`` int array for a stack.
     """
-    lam = np.sort(np.abs(np.asarray(eigenvalues)))[::-1]
-    n = lam.size
-    cap = max_sources if max_sources is not None else n - 1
-    cap = max(1, min(cap, n - 1))
-    count = int(np.sum(lam > gap_ratio * lam[0]))
-    return max(1, min(count, cap))
+    lam = np.sort(np.abs(np.asarray(eigenvalues)), axis=-1)[..., ::-1]
+    n = lam.shape[-1]
+    counts = np.sum(lam > DEFAULT_GAP_RATIO * lam[..., :1], axis=-1)
+    dims = np.clip(counts, 1, max(1, n - 1))
+    return int(dims) if dims.ndim == 0 else dims
 
 
 @dataclass(frozen=True)
@@ -258,7 +259,10 @@ def music_pseudospectrum(
     phase_multiplier: float = PHASE_MULTIPLIER,
     element_indices: np.ndarray | None = None,
 ) -> MusicResult:
-    """Compute the MUSIC pseudospectrum of one covariance matrix.
+    """The MUSIC pseudospectrum of one covariance matrix.
+
+    A batch of one of :func:`music_spectra_batch`, wrapped in a
+    :class:`MusicResult`.
 
     Args:
         covariance: ``(N, N)`` Hermitian spatial covariance.
@@ -285,106 +289,21 @@ def music_pseudospectrum(
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError("covariance must be square")
     grid = DEFAULT_ANGLES_DEG if angles_deg is None else np.asarray(angles_deg)
-
-    with span("dsp.music", elements=int(r.shape[0])):
-        eigvals, eigvecs = np.linalg.eigh(r)
-        order = np.argsort(eigvals)[::-1]
-        eigvals = eigvals[order].real
-        eigvecs = eigvecs[:, order]
-
-        m = n_sources if n_sources is not None else estimate_n_sources(eigvals)
-        m = max(1, min(m, r.shape[0] - 1))
-        noise = eigvecs[:, m:]
-
-        a = cached_steering_matrix(
-            grid, r.shape[0], spacing_m, wavelength_m, phase_multiplier,
-            element_indices=element_indices,
-        )
-        proj = noise.conj().T @ a
-        denom = np.maximum(np.sum(np.abs(proj) ** 2, axis=0), 1e-12)
-        spectrum = 1.0 / denom
-    return MusicResult(
-        angles_deg=np.asarray(grid, dtype=np.float64),
-        spectrum=spectrum,
-        n_sources=m,
-        eigenvalues=eigvals,
-    )
-
-
-def music_pseudospectrum_batch(
-    covariances: np.ndarray,
-    spacing_m: float,
-    wavelength_m: float | np.ndarray,
-    angles_deg: np.ndarray | None = None,
-    n_sources: int | np.ndarray | None = None,
-    phase_multiplier: float = PHASE_MULTIPLIER,
-    element_indices: np.ndarray | None = None,
-) -> list[MusicResult]:
-    """MUSIC pseudospectra for a whole stack of covariances at once.
-
-    Amortises the expensive per-frame work of
-    :func:`music_pseudospectrum` across a dwell batch: one stacked
-    ``np.linalg.eigh`` over the ``(W, N, N)`` covariances and one
-    steering-matrix cache lookup per distinct carrier, instead of W
-    separate LAPACK calls and W matrix rebuilds.  The per-window
-    results are numerically identical to calling the scalar function in
-    a loop (the same LAPACK kernel runs per matrix either way).
-
-    Args:
-        covariances: ``(W, N, N)`` stack of Hermitian covariances.
-        spacing_m: array element spacing (shared by the batch).
-        wavelength_m: carrier wavelength — a scalar, or ``(W,)`` per
-            window (frequency hopping changes the carrier per dwell).
-        angles_deg: evaluation grid shared by the batch.
-        n_sources: forced signal-subspace dimension — None (estimate
-            per window), a scalar, or ``(W,)`` per window.
-        phase_multiplier: see :func:`steering_matrix`.
-        element_indices: physical element positions (shared), for
-            covariances already shrunk to a degraded subarray.
-
-    Returns:
-        A list of W :class:`MusicResult` objects; each spectrum has
-        shape: ``(A,)`` for ``A`` grid angles.
-
-    Raises:
-        ValueError: for a non-``(W, N, N)`` stack or a wavelength /
-            ``n_sources`` array that does not match W.
-    """
-    r = np.asarray(covariances, dtype=np.complex128)
-    if r.ndim != 3 or r.shape[1] != r.shape[2]:
-        raise ValueError("covariances must be a (W, N, N) stack")
-    n_windows, n = r.shape[0], r.shape[1]
-    grid = DEFAULT_ANGLES_DEG if angles_deg is None else np.asarray(angles_deg)
-    wavelengths = np.broadcast_to(
-        np.asarray(wavelength_m, dtype=np.float64), (n_windows,)
-    )
-    forced = (
-        None
-        if n_sources is None
-        else np.broadcast_to(np.asarray(n_sources, dtype=np.int64), (n_windows,))
-    )
-
-    if n_windows == 0:
-        return []
-    spectra, n_src, eigvals = music_spectra_batch(
-        r,
+    spectra, dims, eigvals = music_spectra_batch(
+        r[None],
         spacing_m,
-        wavelengths,
+        wavelength_m,
         angles_deg=grid,
-        n_sources=forced,
+        n_sources=n_sources,
         phase_multiplier=phase_multiplier,
         element_indices=element_indices,
     )
-    grid_f64 = np.asarray(grid, dtype=np.float64)
-    return [
-        MusicResult(
-            angles_deg=grid_f64,
-            spectrum=spectra[w],
-            n_sources=int(n_src[w]),
-            eigenvalues=eigvals[w],
-        )
-        for w in range(n_windows)
-    ]
+    return MusicResult(
+        angles_deg=np.asarray(grid, dtype=np.float64),
+        spectrum=spectra[0],
+        n_sources=int(dims[0]),
+        eigenvalues=eigvals[0],
+    )
 
 
 def music_spectra_batch(
@@ -392,35 +311,41 @@ def music_spectra_batch(
     spacing_m: float,
     wavelength_m: float | np.ndarray,
     angles_deg: np.ndarray | None = None,
-    n_sources: np.ndarray | None = None,
+    n_sources: int | np.ndarray | None = None,
     phase_multiplier: float = PHASE_MULTIPLIER,
     element_indices: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked MUSIC spectra without per-entry result objects.
+    """The MUSIC kernel: pseudospectra of a stack of covariances.
 
-    The array-level core of :func:`music_pseudospectrum_batch`: one
-    stacked eigendecomposition, then one noise-projection matmul per
-    *distinct* ``(subspace dim, wavelength)`` pair rather than per
-    entry.  Cross-stream serving pools every (tag, dwell) of every
-    window of every stream into this call, so the entry count reaches
-    the thousands while hop sequences revisit the same ~50 carriers —
-    grouping turns thousands of 4x180 matmuls into dozens of stacked
-    ones.
+    Splits each covariance into signal and noise subspaces (one stacked
+    ``np.linalg.eigh``, eigenvalues sorted descending) and scans the
+    steering vectors against the noise subspace (Eq. 12).  The noise
+    projection runs as one matmul per *distinct* ``(subspace dim,
+    wavelength)`` pair rather than per entry.  Cross-stream serving
+    pools every (tag, dwell) of every window of every stream into this
+    call, so the entry count reaches the thousands while hop sequences
+    revisit the same ~50 carriers — grouping turns thousands of 4x180
+    matmuls into dozens of stacked ones.
 
     Args:
         covariances: ``(W, N, N)`` Hermitian covariance stack.
         spacing_m: array element spacing (shared by the batch).
-        wavelength_m: scalar or ``(W,)`` per-entry carrier wavelength.
+        wavelength_m: scalar or ``(W,)`` per-entry carrier wavelength
+            (frequency hopping changes the carrier per dwell).
         angles_deg: evaluation grid shared by the batch.
-        n_sources: ``(W,)`` forced subspace dimensions, or None to
-            estimate per entry from the eigenvalue gap.
+        n_sources: forced subspace dimension — a scalar or ``(W,)``
+            per entry — or None to estimate per entry from the
+            eigenvalue gap (:func:`estimate_n_sources`).
         phase_multiplier: see :func:`steering_matrix`.
-        element_indices: physical element positions (shared).
+        element_indices: physical element positions (shared), for
+            covariances already shrunk to a degraded subarray.
 
     Returns:
         ``(spectra, n_sources, eigenvalues)`` with shapes ``(W, A)``,
-        ``(W,)`` and ``(W, N)`` — eigenvalues sorted descending,
-        matching the scalar path.
+        ``(W,)`` and ``(W, N)`` — eigenvalues sorted descending.
+
+    Raises:
+        ValueError: for a non-``(W, N, N)`` stack.
     """
     r = np.asarray(covariances, dtype=np.complex128)
     if r.ndim != 3 or r.shape[1] != r.shape[2]:
@@ -434,17 +359,16 @@ def music_spectra_batch(
         return np.empty((0, grid.size)), np.empty(0, dtype=int), np.empty((0, n))
     with span("dsp.music.batch", windows=n_windows, elements=n):
         eigvals, eigvecs = np.linalg.eigh(r)
-        # eigh returns ascending order; the scalar path sorts descending.
+        # eigh returns ascending order; subspaces are split descending.
         eigvals = eigvals[:, ::-1].real
         eigvecs = eigvecs[:, :, ::-1]
         if n_sources is None:
-            # Vectorised estimate_n_sources: same sort-abs-threshold
-            # rule, one pass over the whole stack.
-            lam = np.sort(np.abs(eigvals), axis=1)[:, ::-1]
-            counts = np.sum(lam > DEFAULT_GAP_RATIO * lam[:, :1], axis=1)
-            dims = np.clip(counts, 1, max(1, n - 1))
+            dims = estimate_n_sources(eigvals)
         else:
-            dims = np.clip(np.asarray(n_sources, dtype=np.int64), 1, max(1, n - 1))
+            forced = np.broadcast_to(
+                np.asarray(n_sources, dtype=np.int64), (n_windows,)
+            )
+            dims = np.clip(forced, 1, max(1, n - 1))
         spectra = np.empty((n_windows, grid.size))
         groups: dict[tuple[int, float], list[int]] = {}
         for w in range(n_windows):
@@ -461,6 +385,77 @@ def music_spectra_batch(
     return spectra, np.asarray(dims, dtype=int), eigvals
 
 
+def masked_spectra_batch(
+    snapshots: np.ndarray,
+    valid: np.ndarray,
+    liveness: np.ndarray,
+    spacing_m: float,
+    wavelength_m: float | np.ndarray,
+    angles_deg: np.ndarray | None = None,
+    n_sources: int | np.ndarray | None = None,
+    phase_multiplier: float = PHASE_MULTIPLIER,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """MUSIC over the live subarray of a degraded array, for a stack of dwells.
+
+    Instead of silently ingesting zero columns for dead ports (which
+    biases the covariance and plants spurious nulls), the correlation
+    matrices are shrunk to the surviving elements and the steering
+    vectors are evaluated at their true, possibly non-contiguous
+    positions.  With every port live this is exactly the full-array
+    pipeline: no column copy and ``element_indices=None``.
+
+    Args:
+        snapshots: ``(W, K, N)`` complex snapshots over the *full*
+            array.
+        valid: ``(W, K, N)`` observation mask.
+        liveness: ``(N,)`` port-liveness mask shared by the stack; at
+            least two ports must be live for an angle spectrum to
+            exist.
+        spacing_m: full-array element spacing.
+        wavelength_m: scalar or ``(W,)`` carrier wavelength.
+        angles_deg: evaluation grid.
+        n_sources: forced signal-subspace dimension (scalar or
+            ``(W,)``).
+        phase_multiplier: see :func:`steering_matrix`.
+
+    Returns:
+        ``(spectra, n_sources, eigenvalues)`` as
+        :func:`music_spectra_batch` returns them; spectra are
+        ``(W, A)`` regardless of how many ports survive.
+
+    Raises:
+        ValueError: when fewer than two ports are live.
+    """
+    live = np.asarray(liveness, dtype=bool)
+    if int(live.sum()) < 2:
+        raise ValueError("need at least two live ports for AoA")
+    indices = None
+    uniform = True
+    if not live.all():
+        counter("dsp.music.masked_total").inc(len(snapshots))
+        indices = np.flatnonzero(live)
+        snapshots = np.asarray(snapshots)[:, :, indices]
+        valid = np.asarray(valid)[:, :, indices]
+        # Forward-backward averaging requires a mirror-symmetric element
+        # layout; a ragged surviving subarray (e.g. ports 0, 1, 3) is
+        # not, so FB is only kept when the survivors stay uniformly
+        # spaced.
+        gaps = np.diff(indices)
+        uniform = bool(gaps.size == 0 or np.all(gaps == gaps[0]))
+    covs = spatial_covariance_stack(
+        snapshots, valid, use_forward_backward=uniform
+    )
+    return music_spectra_batch(
+        covs,
+        spacing_m,
+        wavelength_m,
+        angles_deg=angles_deg,
+        n_sources=n_sources,
+        phase_multiplier=phase_multiplier,
+        element_indices=indices,
+    )
+
+
 def masked_pseudospectrum(
     snapshots: np.ndarray,
     valid: np.ndarray,
@@ -471,13 +466,9 @@ def masked_pseudospectrum(
     n_sources: int | None = None,
     phase_multiplier: float = PHASE_MULTIPLIER,
 ) -> MusicResult:
-    """MUSIC over the live subarray of a degraded antenna array.
+    """MUSIC over the live subarray of one degraded dwell.
 
-    Instead of silently ingesting zero columns for dead ports (which
-    biases the covariance and plants spurious nulls), the correlation
-    matrix is shrunk to the surviving elements and the steering vectors
-    are evaluated at their true, possibly non-contiguous positions.
-    With every port live this is exactly the full-array pipeline.
+    A batch of one of :func:`masked_spectra_batch`.
 
     Args:
         snapshots: ``(K, N)`` complex snapshots over the *full* array.
@@ -497,33 +488,20 @@ def masked_pseudospectrum(
     Raises:
         ValueError: when fewer than two ports are live.
     """
-    from repro.dsp.correlation import spatial_covariance
-    from repro.obs.metrics import counter
-
-    live = np.asarray(liveness, dtype=bool)
-    if int(live.sum()) < 2:
-        raise ValueError("need at least two live ports for AoA")
-    counter("dsp.music.masked_total").inc()
-    if live.all():
-        cov = spatial_covariance(snapshots, valid)
-        return music_pseudospectrum(
-            cov, spacing_m, wavelength_m, angles_deg, n_sources, phase_multiplier
-        )
-    indices = np.flatnonzero(live)
-    # Forward-backward averaging requires a mirror-symmetric element
-    # layout; a ragged surviving subarray (e.g. ports 0, 1, 3) is not,
-    # so FB is only kept when the survivors stay uniformly spaced.
-    gaps = np.diff(indices)
-    uniform = bool(gaps.size == 0 or np.all(gaps == gaps[0]))
-    cov = spatial_covariance(
-        snapshots[:, indices], valid[:, indices], use_forward_backward=uniform
-    )
-    return music_pseudospectrum(
-        cov,
+    grid = DEFAULT_ANGLES_DEG if angles_deg is None else np.asarray(angles_deg)
+    spectra, dims, eigvals = masked_spectra_batch(
+        np.asarray(snapshots)[None],
+        np.asarray(valid)[None],
+        liveness,
         spacing_m,
         wavelength_m,
-        angles_deg,
-        n_sources,
-        phase_multiplier,
-        element_indices=indices,
+        angles_deg=grid,
+        n_sources=n_sources,
+        phase_multiplier=phase_multiplier,
+    )
+    return MusicResult(
+        angles_deg=np.asarray(grid, dtype=np.float64),
+        spectrum=spectra[0],
+        n_sources=int(dims[0]),
+        eigenvalues=eigvals[0],
     )

@@ -44,23 +44,14 @@ def spatial_periodogram(
     valid: np.ndarray | None = None,
     liveness: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Average spatial periodogram of a dwell's snapshots.
+    """Average spatial periodogram of one dwell's snapshots.
+
+    A batch of one of :func:`spatial_periodogram_batch`.
 
     Args:
         snapshots: ``(K, N)`` complex snapshots (rounds x antennas).
-        valid: optional ``(K, N)`` observation mask; incomplete
-            snapshots are dropped when any complete one exists.  When
-            *no* snapshot is complete (a degraded dwell), the invalid
-            entries of the surviving rows are zero-filled before the
-            transform — whatever values sit in unobserved slots are
-            measurement garbage and must not leak into the average.
-        liveness: optional ``(N,)`` port-liveness mask for a degraded
-            array.  Dead ports are excluded from the completeness
-            check, forced to zero, and the power density is rescaled by
-            ``N / n_live`` so the per-live-element power level stays
-            comparable to the healthy array instead of silently
-            sagging.  None (or all-live) reproduces the healthy path
-            exactly.
+        valid: optional ``(K, N)`` observation mask.
+        liveness: optional ``(N,)`` port-liveness mask.
 
     Returns:
         Mean power per spatial-frequency bin, shape: ``(N,)``.
@@ -71,34 +62,9 @@ def spatial_periodogram(
     x = np.asarray(snapshots, dtype=np.complex128)
     if x.ndim != 2:
         raise ValueError("snapshots must be (K, N)")
-    with span("dsp.periodogram", snapshots=int(x.shape[0])):
-        live = None
-        if liveness is not None:
-            live = np.asarray(liveness, dtype=bool)
-            if live.shape != (x.shape[1],):
-                raise ValueError("liveness must be (N,)")
-            if not live.any():
-                raise ValueError("no live ports")
-            if live.all():
-                live = None
-        if valid is not None:
-            complete = (
-                valid.all(axis=1) if live is None else valid[:, live].all(axis=1)
-            )
-            if complete.any():
-                x = x[complete]
-            elif not valid.any():
-                raise ValueError("no valid snapshots")
-            else:
-                x = np.where(valid, x, 0.0)
-        if x.shape[0] == 0:
-            raise ValueError("no valid snapshots")
-        scale = 1.0
-        if live is not None:
-            x = np.where(live[None, :], x, 0.0)
-            scale = x.shape[1] / float(live.sum())
-        powers = np.abs(np.fft.fft(x, axis=1)) ** 2 / x.shape[1]
-        return scale * powers.mean(axis=0)
+    return spatial_periodogram_batch(
+        x[None], None if valid is None else np.asarray(valid)[None], liveness
+    )[0]
 
 
 def spatial_periodogram_batch(
@@ -106,29 +72,34 @@ def spatial_periodogram_batch(
     valid: np.ndarray | None = None,
     liveness: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Average spatial periodograms for a stack of dwells at once.
+    """The spatial periodogram kernel: average power per bin, per dwell.
 
-    One FFT over the whole ``(W, K, N)`` stack replaces W separate
-    :func:`spatial_periodogram` calls; per-window snapshot selection
-    (drop incomplete rows when a complete one exists, zero-fill
-    otherwise) is expressed as a 0/1 row weighting, which is exact
-    because a zero-weighted row contributes exactly nothing to the
-    average.
+    One FFT over the whole ``(W, K, N)`` stack.  Per-window snapshot
+    selection is a 0/1 row weighting, which is exact because a
+    zero-weighted row contributes nothing to the average: incomplete
+    snapshots are dropped when any complete one exists; when *no*
+    snapshot is complete (a degraded dwell), every row counts with its
+    unobserved entries zero-filled — whatever values sit in unobserved
+    slots are measurement garbage and must not leak into the average.
 
     Args:
         snapshots: ``(W, K, N)`` complex snapshots (windows x rounds x
             antennas).
-        valid: optional ``(W, K, N)`` observation mask, same semantics
-            per window as the scalar function.
+        valid: optional ``(W, K, N)`` observation mask.
         liveness: optional ``(N,)`` port-liveness mask shared by the
-            batch (one log = one liveness verdict).
+            batch (one log = one liveness verdict).  Dead ports are
+            excluded from the completeness check, forced to zero, and
+            the power density is rescaled by ``N / n_live`` so the
+            per-live-element power level stays comparable to the
+            healthy array instead of silently sagging.  None (or
+            all-live) is the healthy path exactly.
 
     Returns:
         Mean power per spatial-frequency bin, shape: ``(W, N)``.
 
     Raises:
         ValueError: on shape mismatches, when no port is live, or when
-            some window has no observed entry at all.
+            some window has no rounds or no observed entry at all.
     """
     x = np.asarray(snapshots, dtype=np.complex128)
     if x.ndim != 3:
@@ -136,6 +107,8 @@ def spatial_periodogram_batch(
     n_windows, n_rounds, n_ant = x.shape
     if n_windows == 0:
         return np.zeros((0, n_ant))
+    if n_rounds == 0:
+        raise ValueError("no valid snapshots")
     with span("dsp.periodogram.batch", windows=n_windows, snapshots=n_rounds):
         live = None
         if liveness is not None:

@@ -16,9 +16,7 @@ import numpy as np
 
 from repro.dsp.angles import fold_double, grouped_circular_median
 from repro.dsp.calibration import PhaseCalibrator
-from repro.dsp.correlation import spatial_covariance
-from repro.dsp.music import music_pseudospectrum
-from repro.dsp.snapshots import build_snapshots
+from repro.dsp.frames import tag_music_spectra
 from repro.eval.reporting import ExperimentResult, ExperimentRow
 from repro.geometry.room import make_laboratory
 from repro.geometry.vec import Vec2
@@ -36,19 +34,7 @@ def _spectra_for_tag(reader: Reader, scene: Scene, duration_s: float, tag: int =
     calibrator = PhaseCalibrator.fit(cal_log)
     log = reader.inventory(scene, duration_s)
     psi = calibrator.calibrate(log)
-    snaps = build_snapshots(log, psi, tag)
-    spectra = []
-    for f in range(snaps.n_frames):
-        if not snaps.frame_valid(f):
-            continue
-        cov = spatial_covariance(snaps.z[f], snaps.valid[f])
-        result = music_pseudospectrum(
-            cov,
-            spacing_m=log.meta.spacing_m,
-            wavelength_m=float(snaps.wavelength_m[f]),
-        )
-        spectra.append(result)
-    return spectra
+    return tag_music_spectra(log, psi, tag)
 
 
 def _freeze(scene: Scene, n_slots: int) -> Scene:

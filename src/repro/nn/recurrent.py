@@ -12,10 +12,8 @@ only carries the recurrence ``h @ W_hh`` — a ``(B, H) @ (H, 4H)``
 matmul plus elementwise gate math per step.  Backward mirrors this: the
 per-step loop only produces the packed gate deltas; all three parameter
 gradients and the input gradient collapse into one stacked GEMM each
-afterwards.  The pre-fusion per-timestep loop is retained as
-:meth:`LSTM.forward_reference` / :meth:`LSTM.backward_reference` — the
-parity oracle the profile harness and the equivalence tests check the
-fused path against (rtol gate, same spirit as the 1e-12 DSP one).
+afterwards.  The test suite holds both passes to a per-timestep
+reference loop at ``rtol=1e-9``.
 """
 
 from __future__ import annotations
@@ -25,15 +23,6 @@ import numpy as np
 from repro.nn.init import glorot_uniform, orthogonal
 from repro.nn.module import Module, Parameter
 from repro.obs.tracing import span
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 class LSTM(Module):
@@ -188,109 +177,6 @@ class LSTM(Module):
         self.w_h.grad += h_prev.reshape(batch * steps, hid).T @ flat_da
         self.bias.grad += flat_da.sum(axis=0)
         dx = (flat_da @ self.w_x.value.T).reshape(self._x_shape)
-        return dx
-
-    # ------------------------------------------------------------------
-    # Scalar reference path (pre-fusion), kept as the parity oracle.
-
-    def forward_reference(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Per-timestep reference forward (the pre-fusion loop).
-
-        Computes ``x_t @ W_ih + h @ W_hh + b`` step by step.  Kept so
-        the profile harness and the equivalence tests can assert the
-        fused :meth:`forward` against it under an rtol parity gate;
-        never used on the serving hot path.
-
-        Args:
-            x: input sequence, shape: ``(B, T, D)``.
-
-        Returns:
-            Hidden-state sequence, shape: ``(B, T, H)``.
-
-        Raises:
-            ValueError: when ``x`` is not ``(B, T, in_dim)``.
-        """
-        if x.ndim != 3 or x.shape[2] != self.in_dim:
-            raise ValueError(f"expected (B, T, {self.in_dim}), got {x.shape}")
-        batch, steps, _dim = x.shape
-        hid = self.hidden
-        dtype = np.result_type(x.dtype, self.w_x.value.dtype)
-        h = np.zeros((batch, hid), dtype=dtype)
-        c = np.zeros((batch, hid), dtype=dtype)
-        outputs = np.empty((batch, steps, hid), dtype=dtype)
-        cache: list[dict[str, np.ndarray]] = []
-        for t in range(steps):
-            x_t = x[:, t, :]
-            a = x_t @ self.w_x.value + h @ self.w_h.value + self.bias.value
-            i = _sigmoid(a[:, :hid])
-            f = _sigmoid(a[:, hid : 2 * hid])
-            g = np.tanh(a[:, 2 * hid : 3 * hid])
-            o = _sigmoid(a[:, 3 * hid :])
-            c_new = f * c + i * g
-            tanh_c = np.tanh(c_new)
-            h_new = o * tanh_c
-            cache.append(
-                {
-                    "x": x_t,
-                    "h_prev": h,
-                    "c_prev": c,
-                    "i": i,
-                    "f": f,
-                    "g": g,
-                    "o": o,
-                    "tanh_c": tanh_c,
-                }
-            )
-            h, c = h_new, c_new
-            outputs[:, t, :] = h
-        self._ref_cache = cache
-        self._ref_x_shape = x.shape
-        return outputs
-
-    def backward_reference(self, grad: np.ndarray) -> np.ndarray:
-        """Per-timestep reference backward matching :meth:`forward_reference`.
-
-        Args:
-            grad: upstream gradient, shape: ``(B, T, H)``.
-
-        Returns:
-            Input gradient, shape: ``(B, T, D)``.
-
-        Raises:
-            RuntimeError: when called before :meth:`forward_reference`.
-        """
-        cache = getattr(self, "_ref_cache", None)
-        x_shape = getattr(self, "_ref_x_shape", None)
-        if cache is None or x_shape is None:
-            raise RuntimeError("backward_reference before forward_reference")
-        batch, steps, _dim = x_shape
-        hid = self.hidden
-        dx = np.zeros(x_shape)
-        dh_next = np.zeros((batch, hid))
-        dc_next = np.zeros((batch, hid))
-        for t in reversed(range(steps)):
-            step = cache[t]
-            dh = grad[:, t, :] + dh_next
-            do = dh * step["tanh_c"]
-            dc = dh * step["o"] * (1.0 - step["tanh_c"] ** 2) + dc_next
-            di = dc * step["g"]
-            df = dc * step["c_prev"]
-            dg = dc * step["i"]
-            dc_next = dc * step["f"]
-            da = np.concatenate(
-                [
-                    di * step["i"] * (1.0 - step["i"]),
-                    df * step["f"] * (1.0 - step["f"]),
-                    dg * (1.0 - step["g"] ** 2),
-                    do * step["o"] * (1.0 - step["o"]),
-                ],
-                axis=1,
-            )
-            self.w_x.grad += step["x"].T @ da
-            self.w_h.grad += step["h_prev"].T @ da
-            self.bias.grad += da.sum(axis=0)
-            dx[:, t, :] = da @ self.w_x.value.T
-            dh_next = da @ self.w_h.value.T
         return dx
 
 

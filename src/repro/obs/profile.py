@@ -17,12 +17,9 @@ window) is asserted before the artifact is written, so a refactor that
 silently drops an instrumentation point fails the benchmark job
 instead of producing a hollow artifact.
 
-Two parity gates run inside the measured block: the batched DSP
-entry points against their scalar loops (``rtol=1e-12``) and the fused
-LSTM against its per-timestep scalar reference (``rtol=1e-9``), plus
-the float32 serve pack's accuracy-parity gate — decisions on the eval
-set must match float64 exactly before the streaming stages are
-measured through it.
+The float32 serve pack's accuracy-parity gate runs inside the measured
+block: decisions on the eval set must match float64 exactly before the
+streaming stages are measured through it.
 """
 
 from __future__ import annotations
@@ -38,9 +35,7 @@ import numpy as np
 REQUIRED_STAGES = (
     "hub.merge",
     "dsp.calibration.fit",
-    "dsp.music",
     "dsp.music.batch",
-    "dsp.periodogram",
     "dsp.periodogram.batch",
     "nn.forward",
     "nn.fused",
@@ -49,13 +44,10 @@ REQUIRED_STAGES = (
 )
 """Stages the artifact must cover for the benchmark to count.
 
-The scalar ``dsp.music`` / ``dsp.periodogram`` spans come from the
-batch stage's scalar reference loop (the featurisation hot path itself
-now runs the ``*.batch`` entry points), so a refactor that silently
-drops either side of the scalar-vs-batched comparison still fails the
-benchmark job.  ``nn.fused`` is the fused-GEMM LSTM inner stage — its
-presence proves the recurrent fast path (not a fallback) served the
-measured windows.
+``dsp.music.batch`` / ``dsp.periodogram.batch`` are the stacked DSP
+kernels the featurisation path runs.  ``nn.fused`` is the fused-GEMM
+LSTM inner stage — its presence proves the recurrent fast path (not a
+fallback) served the measured windows.
 """
 
 _WINDOW_S = 4.0
@@ -145,169 +137,21 @@ def build_workload(quick: bool, seed: int):
     return pipeline, calibrator, stream, calibration_log, window_logs, dataset
 
 
-def run_batch_stage(window_logs: list, calibrator, repeat: int) -> dict:
-    """The ``batch`` stage: scalar-vs-batched DSP on identical inputs.
-
-    Builds one stack of real dwell snapshots/covariances from a window
-    log, runs the per-frame scalar MUSIC/periodogram loop and the
-    batched entry points on it, verifies the spectra agree to
-    ``rtol=1e-12`` (the batching contract), and reports the measured
-    speedup.  Runs inside the instrumented block, so it is also what
-    produces the scalar ``dsp.music`` / ``dsp.periodogram`` spans in
-    the artifact.
-
-    Returns:
-        The ``"batch"`` section of the benchmark document.
-
-    Raises:
-        AssertionError: when a batched spectrum deviates from its
-            scalar reference beyond ``rtol=1e-12``.
-    """
-    from repro.dsp.correlation import spatial_covariance_stack
-    from repro.dsp.snapshots import tag_snapshot_set
-    from repro.dsp.music import (
-        clear_steering_cache,
-        music_pseudospectrum,
-        music_pseudospectrum_batch,
-        steering_cache_info,
-    )
-    from repro.dsp.periodogram import (
-        spatial_periodogram,
-        spatial_periodogram_batch,
-    )
-
-    log = window_logs[0]
-    psi = calibrator.calibrate(log)
-    z_rows, valid_rows, wavelengths = [], [], []
-    for snaps in tag_snapshot_set(log, psi):
-        for f in range(snaps.n_frames):
-            if snaps.frame_valid(f):
-                z_rows.append(snaps.z[f])
-                valid_rows.append(snaps.valid[f])
-                wavelengths.append(float(snaps.wavelength_m[f]))
-    z = np.stack(z_rows)
-    valid = np.stack(valid_rows)
-    wl = np.asarray(wavelengths)
-    spacing = log.meta.spacing_m
-    n_dwells = z.shape[0]
-    covariances = spatial_covariance_stack(z, valid)
-
-    clear_steering_cache()
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        scalar_music = [
-            music_pseudospectrum(covariances[w], spacing, wl[w])
-            for w in range(n_dwells)
-        ]
-    music_scalar_ms = (time.perf_counter() - t0) * 1000.0 / repeat
-
-    clear_steering_cache()
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        batch_music = music_pseudospectrum_batch(covariances, spacing, wl)
-    music_batch_ms = (time.perf_counter() - t0) * 1000.0 / repeat
-
-    for scalar, batched in zip(scalar_music, batch_music):
-        np.testing.assert_allclose(
-            batched.spectrum, scalar.spectrum, rtol=1e-12,
-            err_msg="batched MUSIC deviates from the scalar path",
-        )
-
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        scalar_period = np.stack(
-            [spatial_periodogram(z[w], valid[w]) for w in range(n_dwells)]
-        )
-    period_scalar_ms = (time.perf_counter() - t0) * 1000.0 / repeat
-
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        batch_period = spatial_periodogram_batch(z, valid)
-    period_batch_ms = (time.perf_counter() - t0) * 1000.0 / repeat
-
-    np.testing.assert_allclose(
-        batch_period, scalar_period, rtol=1e-12,
-        err_msg="batched periodogram deviates from the scalar path",
-    )
-
-    return {
-        "dwells": int(n_dwells),
-        "repeat": int(repeat),
-        "music": {
-            "scalar_ms": music_scalar_ms,
-            "batch_ms": music_batch_ms,
-            "speedup_x": music_scalar_ms / max(music_batch_ms, 1e-9),
-        },
-        "periodogram": {
-            "scalar_ms": period_scalar_ms,
-            "batch_ms": period_batch_ms,
-            "speedup_x": period_scalar_ms / max(period_batch_ms, 1e-9),
-        },
-        "spectra_rtol": 1e-12,
-        "steering_cache": steering_cache_info(),
-    }
-
-
 def run_nn_stage(pipeline, dataset, repeat: int) -> dict:
-    """The ``nn`` stage: scalar-vs-fused LSTM parity and serve-dtype timing.
+    """The ``nn`` stage: float64-vs-float32 serve timing.
 
-    Two comparisons, both on the trained model itself:
-
-    1. **Scalar vs fused.** Every LSTM layer's fused forward
-       (one ``X @ W_ih`` GEMM for all timesteps) is checked against its
-       per-timestep scalar reference (``forward_reference``) under an
-       ``rtol=1e-9`` assert — the recurrent twin of the 1e-12 DSP
-       batching gate (looser because the fused path sums gates in a
-       different order) — and both are timed.
-    2. **float64 vs float32.** The full-model ``predict_proba`` is
-       timed at training precision and through the cast-once float32
-       serve pack (installed via the accuracy-parity gate, which must
-       accept).  The pack is left installed, so stages profiled after
-       this one serve float32.
+    The full-model ``predict_proba`` is timed at training precision and
+    through the cast-once float32 serve pack (installed via the
+    accuracy-parity gate, which must accept).  The pack is left
+    installed, so stages profiled after this one serve float32.
 
     Returns:
         The ``"nn"`` section of the benchmark document.
 
     Raises:
-        AssertionError: when a fused forward deviates from its scalar
-            reference beyond ``rtol=1e-9``.
         repro.core.pipeline.ServeParityError: when the float32 pack
             changes any decision on the eval set.
     """
-    from repro.nn.recurrent import LSTM
-
-    lstms = [m for m in pipeline.model.modules() if isinstance(m, LSTM)]
-    rng = np.random.default_rng(2024)
-    layers = []
-    for idx, lstm in enumerate(lstms):
-        x = rng.standard_normal((4, 24, lstm.in_dim))
-        reference = lstm.forward_reference(x)
-        fused = lstm.forward(x)
-        np.testing.assert_allclose(
-            fused, reference, rtol=1e-9, atol=1e-12,
-            err_msg="fused LSTM deviates from the scalar reference",
-        )
-        loops = max(repeat * 3, 5)
-        t0 = time.perf_counter()
-        for _ in range(loops):
-            lstm.forward_reference(x)
-        scalar_ms = (time.perf_counter() - t0) * 1000.0 / loops
-        t0 = time.perf_counter()
-        for _ in range(loops):
-            lstm.forward(x)
-        fused_ms = (time.perf_counter() - t0) * 1000.0 / loops
-        layers.append(
-            {
-                "layer": idx,
-                "in_dim": int(lstm.in_dim),
-                "hidden": int(lstm.hidden),
-                "scalar_ms": scalar_ms,
-                "fused_ms": fused_ms,
-                "speedup_x": scalar_ms / max(fused_ms, 1e-9),
-                "max_abs_delta": float(np.abs(fused - reference).max()),
-            }
-        )
-
     n_windows = len(dataset.labels)
     loops = max(repeat, 2)
     pipeline.set_serve_dtype("float64")
@@ -324,8 +168,6 @@ def run_nn_stage(pipeline, dataset, repeat: int) -> dict:
     float32_ms = (time.perf_counter() - t0) * 1000.0 / loops
 
     return {
-        "parity_rtol": 1e-9,
-        "lstm": layers,
         "serve": {
             "windows": int(n_windows),
             "float64_ms": float64_ms,
@@ -357,6 +199,7 @@ def run_profile(quick: bool = True, seed: int = 0, repeat: int | None = None) ->
     from repro import obs
     from repro.dsp.calibration import PhaseCalibrator
     from repro.dsp.features import M2AIFeaturizer
+    from repro.dsp.music import steering_cache_info
     from repro.hardware.hub import merge_hub_features
 
     if repeat is None:
@@ -399,7 +242,6 @@ def run_profile(quick: bool = True, seed: int = 0, repeat: int | None = None) ->
         supervisor_health = supervisor.health().as_dict()
         for _ in range(max(repeat * 10, 20)):
             merge_hub_features(list(per_view))
-        batch_doc = run_batch_stage(window_logs, calibrator, repeat=max(repeat, 2))
         measure_s = time.perf_counter() - t_measure
         durations = obs.get_collector().durations_by_name()
         metrics_doc = json.loads(obs.get_registry().to_json())
@@ -455,7 +297,7 @@ def run_profile(quick: bool = True, seed: int = 0, repeat: int | None = None) ->
             "predict_per_window_ms": predict_per_window_ms,
             "serve_dtype": pipeline.serve_dtype,
         },
-        "batch": batch_doc,
+        "steering_cache": steering_cache_info(),
         "nn": nn_doc,
         "runtime": {
             "supervised_window_p95_ms": stages["runtime.window"]["p95_ms"],
@@ -512,12 +354,6 @@ def main(argv: list[str] | None = None) -> int:
         f"(serve_dtype={rt['serve_dtype']})\n"
     )
     nn = doc["nn"]
-    for layer in nn["lstm"]:
-        out(
-            f"nn lstm[{layer['layer']}]: {layer['scalar_ms']:.3f} ms scalar vs "
-            f"{layer['fused_ms']:.3f} ms fused ({layer['speedup_x']:.1f}x, "
-            f"parity rtol {nn['parity_rtol']:g})\n"
-        )
     serve = nn["serve"]
     out(
         f"nn serve: {serve['float64_ms']:.2f} ms float64 vs "
@@ -530,14 +366,8 @@ def main(argv: list[str] | None = None) -> int:
         f"supervised window p95: {runtime['supervised_window_p95_ms']:.2f} ms, "
         f"health={runtime['health']['state']}\n"
     )
-    batch = doc["batch"]
-    for kind in ("music", "periodogram"):
-        st = batch[kind]
-        out(
-            f"batch {kind}: {st['scalar_ms']:.3f} ms scalar vs "
-            f"{st['batch_ms']:.3f} ms batched over {batch['dwells']} dwells "
-            f"({st['speedup_x']:.1f}x)\n"
-        )
+    cache = doc["steering_cache"]
+    out(f"steering cache: {cache['size']}/{cache['maxsize']} entries\n")
     return 0
 
 

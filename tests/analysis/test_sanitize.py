@@ -10,8 +10,9 @@ import pytest
 from repro.analysis.sanitize import AnomalyError, anomaly_detection
 from repro.core import M2AIPipeline
 from repro.core.streaming import StreamingIdentifier
-from repro.dsp import calibration, music
+from repro.dsp import calibration, music, periodogram
 from repro.dsp.calibration import PhaseCalibrator
+from repro.dsp.features import M2AIFeaturizer
 from repro.dsp.frames import build_spectrum_frames
 from repro.faults import FaultSpec, apply_faults
 from repro.nn.conv import Conv1d
@@ -80,6 +81,29 @@ class TestDspWrappers:
                 music.music_pseudospectrum(cov, spacing_m=0.04, wavelength_m=0.33)
         assert excinfo.value.kind == "non_finite"
         assert "music_pseudospectrum" in excinfo.value.stage
+
+    def test_stacked_kernels_reject_nan_input_by_stage(self):
+        # Call through the modules: the sanitizer patches repro-internal
+        # aliases, not names a caller outside repro imported itself.
+        covs = np.full((2, 4, 4), np.nan, dtype=np.complex128)
+        snapshots = np.full((2, 3, 4), np.nan, dtype=np.complex128)
+        with anomaly_detection():
+            with pytest.raises(AnomalyError) as music_exc:
+                music.music_spectra_batch(covs, spacing_m=0.04, wavelength_m=0.33)
+            with pytest.raises(AnomalyError) as period_exc:
+                periodogram.spatial_periodogram_batch(snapshots)
+        assert music_exc.value.kind == "non_finite"
+        assert "music_spectra_batch" in music_exc.value.stage
+        assert period_exc.value.kind == "non_finite"
+        assert "spatial_periodogram_batch" in period_exc.value.stage
+
+    def test_transform_many_pins_nan_phases_to_a_dsp_stage(self, calibrator, nan_log):
+        psi = calibrator.calibrate(nan_log)  # unarmed: NaN flows on silently
+        with anomaly_detection():
+            with pytest.raises(AnomalyError) as excinfo:
+                M2AIFeaturizer().transform_many([(nan_log, psi, 4)])
+        assert excinfo.value.kind == "non_finite"
+        assert excinfo.value.stage.startswith("repro.dsp.")
 
     def test_music_clean_covariance_passes(self, small_log, calibrator):
         psi = calibrator.calibrate(small_log)

@@ -1,23 +1,30 @@
-"""Batched DSP entry points: bit-close equivalence with the scalar path.
+"""Stacked DSP kernels: bit-close equivalence with the scalar oracles.
 
-The batching contract (DESIGN.md section 10): every batched function
+The batching contract (DESIGN.md section 10): every stacked kernel
 must reproduce the scalar loop it replaced to ``rtol=1e-12`` — same
-LAPACK kernels, same selection semantics — so these tests sweep random
-dwell stacks, degraded masks and forced subspace dimensions and compare
-element-wise against the scalar reference.
+LAPACK kernels, same selection semantics.  Those loops live on as the
+oracles in :mod:`tests.dsp.covariance_oracle` and
+:mod:`tests.dsp.spectrum_oracle`; these tests sweep random dwell
+stacks, degraded masks and forced subspace dimensions and compare
+element-wise against them.  The single-dwell names in ``src/`` are
+batches of one of the kernels, which the last class pins byte for byte.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dsp import (
     STEERING_CACHE_MAXSIZE,
     cached_steering_matrix,
     clear_steering_cache,
+    masked_pseudospectrum,
+    masked_spectra_batch,
     music_pseudospectrum,
-    music_pseudospectrum_batch,
+    music_spectra_batch,
     spatial_covariance,
     spatial_covariance_stack,
     spatial_periodogram,
@@ -25,6 +32,7 @@ from repro.dsp import (
     steering_cache_info,
     steering_matrix,
 )
+from tests.dsp import covariance_oracle, spectrum_oracle
 
 RTOL = 1e-12
 SPACING = 0.04
@@ -33,8 +41,8 @@ SPACING = 0.04
 def random_dwells(seed: int, n_windows=None, n_rounds=None, n_ant=None):
     """A random snapshot stack with a mixed validity profile.
 
-    Windows cycle through the three selection regimes the scalar path
-    distinguishes: fully observed, some-complete-rows (incomplete rows
+    Windows cycle through the three selection regimes the kernels
+    distinguish: fully observed, some-complete-rows (incomplete rows
     must be dropped), and no-complete-row (gaps must be zero-filled).
     """
     rng = np.random.default_rng(seed)
@@ -63,7 +71,8 @@ class TestCovarianceStack:
         stack = spatial_covariance_stack(z, valid)
         for w in range(z.shape[0]):
             np.testing.assert_allclose(
-                stack[w], spatial_covariance(z[w], valid[w]), rtol=RTOL
+                stack[w], covariance_oracle.spatial_covariance(z[w], valid[w]),
+                rtol=RTOL,
             )
 
     def test_matches_scalar_without_mask(self):
@@ -71,7 +80,9 @@ class TestCovarianceStack:
         z = z.real + 1j * z.imag  # strip the injected garbage pattern
         stack = spatial_covariance_stack(z)
         for w in range(z.shape[0]):
-            np.testing.assert_allclose(stack[w], spatial_covariance(z[w]), rtol=RTOL)
+            np.testing.assert_allclose(
+                stack[w], covariance_oracle.spatial_covariance(z[w]), rtol=RTOL
+            )
 
     def test_forward_backward_toggle(self):
         z, valid, _ = random_dwells(4)
@@ -79,7 +90,9 @@ class TestCovarianceStack:
         for w in range(z.shape[0]):
             np.testing.assert_allclose(
                 stack[w],
-                spatial_covariance(z[w], valid[w], use_forward_backward=False),
+                covariance_oracle.spatial_covariance(
+                    z[w], valid[w], use_forward_backward=False
+                ),
                 rtol=RTOL,
             )
 
@@ -97,20 +110,28 @@ class TestCovarianceStack:
         with pytest.raises(ValueError):
             spatial_covariance_stack(z, valid)
 
+    def test_rejects_zero_round_stack(self):
+        """A window with no rounds raises like the scalar oracle, not NaN."""
+        with pytest.raises(ValueError, match="no valid snapshots"):
+            spatial_covariance_stack(np.zeros((2, 0, 4), complex))
+        with pytest.raises(ValueError, match="no valid snapshots"):
+            spatial_covariance(np.zeros((0, 4), complex))
+
+
+def _assert_music_matches_oracle(spectra, dims, eigvals, covs, wl, **kwargs):
+    for w in range(covs.shape[0]):
+        scalar = spectrum_oracle.music_pseudospectrum(covs[w], SPACING, wl[w], **kwargs)
+        np.testing.assert_allclose(spectra[w], scalar.spectrum, rtol=RTOL)
+        np.testing.assert_allclose(eigvals[w], scalar.eigenvalues, rtol=RTOL)
+        assert dims[w] == scalar.n_sources
+
 
 class TestMusicBatch:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_scalar(self, seed):
         z, valid, wl = random_dwells(seed)
         covs = spatial_covariance_stack(z, valid)
-        batch = music_pseudospectrum_batch(covs, SPACING, wl)
-        for w, result in enumerate(batch):
-            scalar = music_pseudospectrum(covs[w], SPACING, wl[w])
-            np.testing.assert_allclose(result.spectrum, scalar.spectrum, rtol=RTOL)
-            np.testing.assert_allclose(
-                result.eigenvalues, scalar.eigenvalues, rtol=RTOL
-            )
-            assert result.n_sources == scalar.n_sources
+        _assert_music_matches_oracle(*music_spectra_batch(covs, SPACING, wl), covs, wl)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_forced_n_sources_per_window(self, seed):
@@ -118,27 +139,27 @@ class TestMusicBatch:
         covs = spatial_covariance_stack(z, valid)
         rng = np.random.default_rng(seed + 100)
         forced = rng.integers(1, 4, size=covs.shape[0])
-        batch = music_pseudospectrum_batch(covs, SPACING, wl, n_sources=forced)
-        for w, result in enumerate(batch):
-            scalar = music_pseudospectrum(
+        spectra, dims, _eigs = music_spectra_batch(covs, SPACING, wl, n_sources=forced)
+        np.testing.assert_array_equal(dims, forced)
+        for w in range(covs.shape[0]):
+            scalar = spectrum_oracle.music_pseudospectrum(
                 covs[w], SPACING, wl[w], n_sources=int(forced[w])
             )
-            np.testing.assert_allclose(result.spectrum, scalar.spectrum, rtol=RTOL)
-            assert result.n_sources == scalar.n_sources == int(forced[w])
+            np.testing.assert_allclose(spectra[w], scalar.spectrum, rtol=RTOL)
 
     def test_forced_n_sources_scalar_broadcasts(self):
         z, valid, wl = random_dwells(7, n_ant=4)
         covs = spatial_covariance_stack(z, valid)
-        batch = music_pseudospectrum_batch(covs, SPACING, wl, n_sources=2)
-        assert all(r.n_sources == 2 for r in batch)
+        _spectra, dims, _eigs = music_spectra_batch(covs, SPACING, wl, n_sources=2)
+        assert (dims == 2).all()
 
     def test_shared_scalar_wavelength(self):
         z, valid, _ = random_dwells(5)
         covs = spatial_covariance_stack(z, valid)
-        batch = music_pseudospectrum_batch(covs, SPACING, 0.328)
-        for w, result in enumerate(batch):
-            scalar = music_pseudospectrum(covs[w], SPACING, 0.328)
-            np.testing.assert_allclose(result.spectrum, scalar.spectrum, rtol=RTOL)
+        wl = np.full(covs.shape[0], 0.328)
+        _assert_music_matches_oracle(
+            *music_spectra_batch(covs, SPACING, 0.328), covs, wl
+        )
 
     def test_element_indices_subarray(self):
         z, valid, wl = random_dwells(9, n_ant=4)
@@ -146,21 +167,60 @@ class TestMusicBatch:
         covs = spatial_covariance_stack(
             z[:, :, idx], valid[:, :, idx], use_forward_backward=False
         )
-        batch = music_pseudospectrum_batch(covs, SPACING, wl, element_indices=idx)
-        for w, result in enumerate(batch):
-            scalar = music_pseudospectrum(
-                covs[w], SPACING, wl[w], element_indices=idx
-            )
-            np.testing.assert_allclose(result.spectrum, scalar.spectrum, rtol=RTOL)
+        _assert_music_matches_oracle(
+            *music_spectra_batch(covs, SPACING, wl, element_indices=idx),
+            covs, wl, element_indices=idx,
+        )
 
     def test_empty_stack(self):
-        assert music_pseudospectrum_batch(np.zeros((0, 4, 4)), SPACING, 0.328) == []
+        spectra, dims, eigvals = music_spectra_batch(np.zeros((0, 4, 4)), SPACING, 0.328)
+        assert spectra.shape == (0, 180)
+        assert dims.shape == (0,)
+        assert eigvals.shape == (0, 4)
 
     def test_rejects_non_stack(self):
         with pytest.raises(ValueError):
-            music_pseudospectrum_batch(np.zeros((4, 4)), SPACING, 0.328)
+            music_spectra_batch(np.zeros((4, 4)), SPACING, 0.328)
         with pytest.raises(ValueError):
-            music_pseudospectrum_batch(np.zeros((2, 3, 4)), SPACING, 0.328)
+            music_spectra_batch(np.zeros((2, 3, 4)), SPACING, 0.328)
+
+
+class TestMaskedBatch:
+    @pytest.mark.parametrize(
+        "live",
+        [
+            [True, True, True, True],
+            [True, True, False, True],  # ragged: no forward-backward
+            [True, False, True, False],  # uniform stride 2
+            [False, True, True, False],
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_scalar(self, seed, live):
+        z, valid, wl = random_dwells(seed, n_ant=4)
+        live = np.asarray(live)
+        valid[:, :, ~live] = False
+        spectra, dims, eigvals = masked_spectra_batch(z, valid, live, SPACING, wl)
+        for w in range(z.shape[0]):
+            scalar = spectrum_oracle.masked_pseudospectrum(
+                z[w], valid[w], live, SPACING, wl[w]
+            )
+            np.testing.assert_allclose(spectra[w], scalar.spectrum, rtol=RTOL)
+            # The oracle drops incomplete rows where the kernel
+            # zero-weights them, so the covariances differ in the last
+            # bit; eigenvalues are accurate relative to the largest one.
+            np.testing.assert_allclose(
+                eigvals[w], scalar.eigenvalues, rtol=RTOL,
+                atol=RTOL * scalar.eigenvalues[0],
+            )
+            assert dims[w] == scalar.n_sources
+
+    def test_fewer_than_two_live_ports_rejected(self):
+        z, valid, wl = random_dwells(1, n_ant=4)
+        with pytest.raises(ValueError, match="two live ports"):
+            masked_spectra_batch(
+                z, valid, np.array([False, True, False, False]), SPACING, wl
+            )
 
 
 class TestPeriodogramBatch:
@@ -170,7 +230,8 @@ class TestPeriodogramBatch:
         batch = spatial_periodogram_batch(z, valid)
         for w in range(z.shape[0]):
             np.testing.assert_allclose(
-                batch[w], spatial_periodogram(z[w], valid[w]), rtol=RTOL
+                batch[w], spectrum_oracle.spatial_periodogram(z[w], valid[w]),
+                rtol=RTOL,
             )
 
     @pytest.mark.parametrize("seed", range(3))
@@ -181,7 +242,8 @@ class TestPeriodogramBatch:
         batch = spatial_periodogram_batch(z, valid, liveness=live)
         for w in range(z.shape[0]):
             np.testing.assert_allclose(
-                batch[w], spatial_periodogram(z[w], valid[w], liveness=live),
+                batch[w],
+                spectrum_oracle.spatial_periodogram(z[w], valid[w], liveness=live),
                 rtol=RTOL,
             )
 
@@ -189,7 +251,9 @@ class TestPeriodogramBatch:
         z, _, _ = random_dwells(2)
         batch = spatial_periodogram_batch(z)
         for w in range(z.shape[0]):
-            np.testing.assert_allclose(batch[w], spatial_periodogram(z[w]), rtol=RTOL)
+            np.testing.assert_allclose(
+                batch[w], spectrum_oracle.spatial_periodogram(z[w]), rtol=RTOL
+            )
 
     def test_empty_stack(self):
         assert spatial_periodogram_batch(np.zeros((0, 4, 4), complex)).shape == (0, 4)
@@ -201,12 +265,128 @@ class TestPeriodogramBatch:
         with pytest.raises(ValueError):
             spatial_periodogram_batch(z, valid)
 
+    def test_rejects_zero_round_stack(self):
+        """A window with no rounds raises like the scalar oracle, not NaN."""
+        with pytest.raises(ValueError, match="no valid snapshots"):
+            spatial_periodogram_batch(np.zeros((2, 0, 4), complex))
+        with pytest.raises(ValueError, match="no valid snapshots"):
+            spatial_periodogram(np.zeros((0, 4), complex))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             spatial_periodogram_batch(np.zeros((4, 4), complex))
         with pytest.raises(ValueError):
             spatial_periodogram_batch(
                 np.zeros((2, 3, 4), complex), np.ones((2, 3, 3), bool)
+            )
+
+
+@st.composite
+def dwell_stacks(draw):
+    """A random dwell stack plus the kernel options a caller can pass."""
+    n_ant = draw(st.integers(min_value=3, max_value=5))
+    z, valid, wl = random_dwells(
+        draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        n_windows=draw(st.integers(min_value=1, max_value=13)),
+        n_rounds=draw(st.integers(min_value=1, max_value=13)),
+        n_ant=n_ant,
+    )
+    live = np.zeros(n_ant, dtype=bool)
+    live[sorted(draw(st.sets(st.integers(0, n_ant - 1), min_size=2)))] = True
+    # A dead port is never observed; with at most N-2 dead ports and one
+    # gap per row, every row keeps an observed live entry.
+    valid[:, :, ~live] = False
+    forced = draw(
+        st.none()
+        | st.lists(
+            st.integers(min_value=1, max_value=n_ant - 1),
+            min_size=z.shape[0],
+            max_size=z.shape[0],
+        ).map(np.asarray)
+    )
+    return z, valid, wl, live, forced
+
+
+class TestBatchOfOneIsASlice:
+    """``kernel(stack)[i]`` is byte-equal to ``kernel(stack[i:i+1])[0]``,
+    and each single-dwell name is byte-equal to its kernel."""
+
+    @given(dwell_stacks(), st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_covariance(self, case, masked, fb):
+        z, valid, _wl, _live, _forced = case
+        mask = valid if masked else None
+        stack = spatial_covariance_stack(z, mask, use_forward_backward=fb)
+        for i in range(z.shape[0]):
+            one = None if mask is None else mask[i]
+            np.testing.assert_array_equal(
+                stack[i],
+                spatial_covariance_stack(
+                    z[i : i + 1], None if mask is None else mask[i : i + 1],
+                    use_forward_backward=fb,
+                )[0],
+            )
+            np.testing.assert_array_equal(
+                stack[i], spatial_covariance(z[i], one, use_forward_backward=fb)
+            )
+
+    @given(dwell_stacks())
+    @settings(max_examples=60, deadline=None)
+    def test_music(self, case):
+        z, valid, wl, _live, forced = case
+        covs = spatial_covariance_stack(z, valid)
+        spectra, dims, eigvals = music_spectra_batch(covs, SPACING, wl, n_sources=forced)
+        for i in range(z.shape[0]):
+            n_src = None if forced is None else int(forced[i])
+            one = music_spectra_batch(covs[i : i + 1], SPACING, wl[i], n_sources=n_src)
+            single = music_pseudospectrum(covs[i], SPACING, wl[i], n_sources=n_src)
+            for got in (one, (single.spectrum[None], [single.n_sources],
+                              single.eigenvalues[None])):
+                np.testing.assert_array_equal(spectra[i], got[0][0])
+                assert dims[i] == got[1][0]
+                np.testing.assert_array_equal(eigvals[i], got[2][0])
+
+    @given(dwell_stacks())
+    @settings(max_examples=60, deadline=None)
+    def test_masked_music(self, case):
+        z, valid, wl, live, forced = case
+        spectra, dims, eigvals = masked_spectra_batch(
+            z, valid, live, SPACING, wl, n_sources=forced
+        )
+        for i in range(z.shape[0]):
+            n_src = None if forced is None else int(forced[i])
+            one = masked_spectra_batch(
+                z[i : i + 1], valid[i : i + 1], live, SPACING, wl[i], n_sources=n_src
+            )
+            single = masked_pseudospectrum(
+                z[i], valid[i], live, SPACING, wl[i], n_sources=n_src
+            )
+            for got in (one, (single.spectrum[None], [single.n_sources],
+                              single.eigenvalues[None])):
+                np.testing.assert_array_equal(spectra[i], got[0][0])
+                assert dims[i] == got[1][0]
+                np.testing.assert_array_equal(eigvals[i], got[2][0])
+
+    @given(dwell_stacks(), st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_periodogram(self, case, masked, with_liveness):
+        z, valid, _wl, live, _forced = case
+        mask = valid if masked else None
+        liveness = live if with_liveness else None
+        stack = spatial_periodogram_batch(z, mask, liveness=liveness)
+        for i in range(z.shape[0]):
+            np.testing.assert_array_equal(
+                stack[i],
+                spatial_periodogram_batch(
+                    z[i : i + 1], None if mask is None else mask[i : i + 1],
+                    liveness=liveness,
+                )[0],
+            )
+            np.testing.assert_array_equal(
+                stack[i],
+                spatial_periodogram(
+                    z[i], None if mask is None else mask[i], liveness=liveness
+                ),
             )
 
 

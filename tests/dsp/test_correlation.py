@@ -1,17 +1,30 @@
-"""Spatial covariance estimation."""
+"""Spatial covariance estimation.
+
+Each step of the pipeline is pinned through the production kernel:
+with ``use_forward_backward=False, loading=0`` it is the plain sample
+covariance, and toggling either option isolates that step.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.dsp import diagonal_load, forward_backward, sample_covariance, spatial_covariance
+from repro.dsp import spatial_covariance
 
 RNG = np.random.default_rng(0)
 
 
 def random_snapshots(k=20, n=4):
     return RNG.normal(size=(k, n)) + 1j * RNG.normal(size=(k, n))
+
+
+def sample_covariance(z, valid=None):
+    return spatial_covariance(z, valid, use_forward_backward=False, loading=0.0)
+
+
+def forward_backward_covariance(z):
+    return spatial_covariance(z, use_forward_backward=True, loading=0.0)
 
 
 class TestSampleCovariance:
@@ -52,17 +65,17 @@ class TestSampleCovariance:
 
 class TestForwardBackward:
     def test_hermitian_preserved(self):
-        r = sample_covariance(random_snapshots())
-        fb = forward_backward(r)
+        fb = forward_backward_covariance(random_snapshots())
         np.testing.assert_allclose(fb, fb.conj().T)
 
     def test_trace_preserved(self):
-        r = sample_covariance(random_snapshots())
-        assert np.trace(forward_backward(r)) == pytest.approx(np.trace(r))
+        z = random_snapshots()
+        assert np.trace(forward_backward_covariance(z)) == pytest.approx(
+            np.trace(sample_covariance(z))
+        )
 
     def test_persymmetric_output(self):
-        r = sample_covariance(random_snapshots())
-        fb = forward_backward(r)
+        fb = forward_backward_covariance(random_snapshots())
         n = fb.shape[0]
         j = np.eye(n)[::-1]
         np.testing.assert_allclose(fb, j @ fb.conj() @ j)
@@ -70,9 +83,9 @@ class TestForwardBackward:
 
 class TestDiagonalLoading:
     def test_raises_smallest_eigenvalue(self):
-        r = np.zeros((3, 3), dtype=complex)
-        r[0, 0] = 3.0
-        loaded = diagonal_load(r, 1e-3)
+        z = np.array([[np.sqrt(3.0), 0.0, 0.0]], dtype=complex)  # rank one
+        assert np.linalg.eigvalsh(sample_covariance(z)).min() <= 0
+        loaded = spatial_covariance(z, use_forward_backward=False, loading=1e-3)
         assert np.linalg.eigvalsh(loaded).min() > 0
 
     def test_full_pipeline_shape(self):

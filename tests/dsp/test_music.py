@@ -8,11 +8,11 @@ import pytest
 from repro.dsp import (
     MusicResult,
     estimate_n_sources,
-    forward_backward,
     music_pseudospectrum,
     spatial_covariance,
     steering_matrix,
 )
+from tests.dsp.covariance_oracle import forward_backward
 
 N_ANT = 4
 SPACING = 0.04
@@ -81,6 +81,10 @@ class TestSourceCount:
     def test_capped_below_n(self):
         eigvals = np.ones(4)
         assert estimate_n_sources(eigvals) <= 3
+
+    def test_stack_counts_each_row(self):
+        rows = np.array([[4.0, 1e-3, 1e-3, 1e-3], [4.0, 3.0, 1e-3, 1e-3], np.ones(4)])
+        np.testing.assert_array_equal(estimate_n_sources(rows), [1, 2, 3])
 
 
 class TestPseudospectrum:

@@ -2,10 +2,8 @@
 
 The fused forward computes every timestep's input-gate GEMM at once
 and keeps only the recurrence in the Python loop; the pre-fusion
-per-timestep path survives as ``forward_reference`` /
-``backward_reference``.  These tests pin the two paths together across
-hypothesis-drawn shapes — the same parity contract the profile harness
-asserts per run, but exhaustive over shape space.
+per-timestep path is the oracle in :mod:`tests.nn.lstm_oracle`.  These
+tests pin the fused layer to it across hypothesis-drawn shapes.
 """
 
 from __future__ import annotations
@@ -16,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import LSTM
+from tests.nn.lstm_oracle import backward_reference, forward_reference
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -45,7 +44,7 @@ class TestFusedForwardParity:
         lstm = LSTM(in_dim, hidden, rng)
         x = rng.normal(size=(batch, steps, in_dim))
         np.testing.assert_allclose(
-            lstm.forward(x), lstm.forward_reference(x), rtol=RTOL, atol=ATOL
+            lstm.forward(x), forward_reference(lstm, x)[0], rtol=RTOL, atol=ATOL
         )
 
     def test_forward_matches_reference_large_activations(self):
@@ -55,7 +54,7 @@ class TestFusedForwardParity:
         lstm = LSTM(4, 6, rng)
         x = rng.normal(size=(2, 10, 4)) * 50.0
         np.testing.assert_allclose(
-            lstm.forward(x), lstm.forward_reference(x), rtol=RTOL, atol=ATOL
+            lstm.forward(x), forward_reference(lstm, x)[0], rtol=RTOL, atol=ATOL
         )
 
 
@@ -74,9 +73,9 @@ class TestFusedBackwardParity:
         dx_fused = lstm.backward(grad)
         grads_fused = _grads(lstm)
 
-        lstm.forward_reference(x)
+        _out, cache = forward_reference(lstm, x)
         lstm.zero_grad()
-        dx_ref = lstm.backward_reference(grad)
+        dx_ref = backward_reference(lstm, cache, x.shape, grad)
         grads_ref = _grads(lstm)
 
         np.testing.assert_allclose(dx_fused, dx_ref, rtol=RTOL, atol=ATOL)
@@ -103,8 +102,6 @@ class TestFusedBackwardParity:
         lstm = LSTM(3, 4, np.random.default_rng(0))
         with pytest.raises(RuntimeError, match="backward before forward"):
             lstm.backward(np.zeros((1, 2, 4)))
-        with pytest.raises(RuntimeError, match="backward_reference"):
-            lstm.backward_reference(np.zeros((1, 2, 4)))
 
 
 class TestFusedDtypePolymorphism:
