@@ -25,6 +25,7 @@ from repro.dsp.features import (
     RssiFeaturizer,
 )
 from repro.eval.harness import (
+    epoch_budget,
     eval_baselines,
     get_dataset,
     get_raw_samples,
@@ -44,17 +45,7 @@ def _gen_config(quick: bool, seed: int, **overrides) -> GenerationConfig:
 
 
 def _train_config(quick: bool, seed: int) -> M2AIConfig:
-    import os
-
-    epochs = 40 if quick else 60
-    # The benchmark suite measures regeneration end-to-end; its training
-    # budget can be trimmed via this env var (set by benchmarks/conftest)
-    # so a full `pytest benchmarks/` pass stays within minutes.  The
-    # recorded EXPERIMENTS.md run uses the untrimmed budget.
-    override = os.environ.get("REPRO_BENCH_EPOCHS")
-    if override:
-        epochs = min(epochs, int(override))
-    return M2AIConfig(epochs=epochs, batch_size=16, seed=seed)
+    return M2AIConfig(epochs=epoch_budget(40 if quick else 60), batch_size=16, seed=seed)
 
 
 def _sweep_config(quick: bool, seed: int, **overrides) -> GenerationConfig:

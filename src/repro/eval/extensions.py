@@ -16,21 +16,17 @@ import numpy as np
 from repro.core.config import M2AIConfig
 from repro.core.pipeline import M2AIPipeline
 from repro.data.generator import GenerationConfig, vary
-from repro.eval.harness import get_dataset, train_eval_m2ai
+from repro.eval.harness import epoch_budget, get_dataset, train_eval_m2ai
 from repro.eval.reporting import ExperimentResult, ExperimentRow
 from repro.eval.resilience import run_ext_resilience
 from repro.eval.serving import run_ext_serving
 from repro.eval.robustness import run_ext_robustness
 
 
-def _training(quick: bool, seed: int) -> M2AIConfig:
-    import os
-
-    epochs = 40 if quick else 60
-    override = os.environ.get("REPRO_BENCH_EPOCHS")
-    if override:
-        epochs = min(epochs, int(override))
-    return M2AIConfig(epochs=epochs, batch_size=16, seed=seed)
+def _training(quick: bool, seed: int, floor: int = 0) -> M2AIConfig:
+    return M2AIConfig(
+        epochs=epoch_budget(40 if quick else 60, floor=floor), batch_size=16, seed=seed
+    )
 
 
 def _cfg(quick: bool, seed: int, **overrides) -> GenerationConfig:
@@ -52,15 +48,12 @@ def run_ext_transfer(quick: bool = True, seed: int = 0) -> ExperimentResult:
     model may need to be re-trained for different settings" — and (c)
     recovering most of the gap.
     """
-    from dataclasses import replace
-
     lab = get_dataset(_cfg(quick, seed, environment="laboratory"))
     hall = get_dataset(_cfg(quick, seed, environment="hall"))
     # Transfer effects only show once the source model is competent;
     # this driver keeps a training floor even under the benchmark
     # suite's trimmed budget (it is only two fits).
-    training = _training(quick, seed)
-    training = replace(training, epochs=max(training.epochs, 30))
+    training = _training(quick, seed, floor=30)
 
     rng = np.random.default_rng(seed)
     lab_train, lab_test = lab.split(0.2, rng)

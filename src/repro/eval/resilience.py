@@ -366,43 +366,19 @@ def run_resilience_bench(quick: bool = True, seed: int = 0) -> dict:
             breaker cycle did not complete — the artifact must not be
             written from a run that violated the supervision contract.
     """
-    import os
-
     from repro import obs
-    from repro.core.config import M2AIConfig
     from repro.core.pipeline import M2AIPipeline
-    from repro.data.generator import GenerationConfig, SyntheticDatasetGenerator
-    from repro.eval.harness import get_raw_samples
+    from repro.eval.harness import runtime_workload
 
-    cfg = GenerationConfig(
-        scenario_labels=("A01", "A03", "A07", "A11"),
-        samples_per_class=6 if quick else 12,
-        duration_s=6.0,
-        calibration_s=20.0,
-        seed=seed,
-    )
-    raw = get_raw_samples(cfg)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(raw))
-    n_test = max(4, int(0.25 * len(raw)))
-    test_idx, train_idx = order[:n_test], order[n_test:]
-    generator = SyntheticDatasetGenerator(cfg)
-    train_ds = generator.featurize([raw[i] for i in train_idx])
-
-    epochs = 25 if quick else 45
-    override = os.environ.get("REPRO_BENCH_EPOCHS")
-    if override:
-        epochs = min(epochs, int(override))
+    workload = runtime_workload(quick, seed)
     t_setup = time.perf_counter()
-    pipeline = M2AIPipeline(M2AIConfig(epochs=epochs, batch_size=8, seed=seed))
-    pipeline.fit(train_ds)
+    pipeline = M2AIPipeline(workload.training).fit(workload.train)
     setup_s = time.perf_counter() - t_setup
 
-    dwell = raw[0].log.meta.dwell_s
     identifier = StreamingIdentifier(
-        pipeline, window_s=raw[0].n_frames * dwell, min_reads=32
+        pipeline, window_s=workload.window_s, min_reads=32
     )
-    test_raws = [raw[i] for i in test_idx]
+    test_raws = workload.held_out
 
     obs.enable()
     obs.reset()
@@ -442,7 +418,7 @@ def run_resilience_bench(quick: bool = True, seed: int = 0) -> dict:
         "quick": bool(quick),
         "seed": int(seed),
         "setup_s": round(setup_s, 3),
-        "epochs": int(epochs),
+        "epochs": int(workload.training.epochs),
         "n_test_recordings": len(test_raws),
         "zero_uncaught_exceptions": True,
         "clean_throughput_w_per_s": clean.throughput_w_per_s,

@@ -209,42 +209,15 @@ def run_ext_robustness(quick: bool = True, seed: int = 0) -> ExperimentResult:
     :data:`DEFAULT_SEVERITIES` over the held-out recordings through the
     streaming serving path.
     """
-    from repro.core.config import M2AIConfig
     from repro.core.pipeline import M2AIPipeline
-    from repro.data.generator import GenerationConfig, SyntheticDatasetGenerator
-    from repro.eval.harness import get_raw_samples
+    from repro.eval.harness import runtime_workload
 
-    cfg = GenerationConfig(
-        scenario_labels=("A01", "A03", "A07", "A11"),
-        samples_per_class=6 if quick else 12,
-        duration_s=6.0,
-        calibration_s=20.0,
-        seed=seed,
-    )
-    raw = get_raw_samples(cfg)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(raw))
-    n_test = max(4, int(0.25 * len(raw)))
-    test_idx, train_idx = order[:n_test], order[n_test:]
-    generator = SyntheticDatasetGenerator(cfg)
-    train_ds = generator.featurize([raw[i] for i in train_idx])
-
-    import os
-
-    epochs = 25 if quick else 45
-    override = os.environ.get("REPRO_BENCH_EPOCHS")
-    if override:
-        epochs = min(epochs, int(override))
-    pipeline = M2AIPipeline(M2AIConfig(epochs=epochs, batch_size=8, seed=seed))
-    pipeline.fit(train_ds)
-
-    dwell = raw[0].log.meta.dwell_s
+    workload = runtime_workload(quick, seed)
+    pipeline = M2AIPipeline(workload.training).fit(workload.train)
     identifier = StreamingIdentifier(
-        pipeline, window_s=raw[0].n_frames * dwell, min_reads=32
+        pipeline, window_s=workload.window_s, min_reads=32
     )
-    report = robustness_sweep(
-        identifier, [raw[i] for i in test_idx], seed=seed
-    )
+    report = robustness_sweep(identifier, workload.held_out, seed=seed)
 
     rows = []
     for cell in report.cells:

@@ -423,55 +423,32 @@ def run_serving_bench(quick: bool = True, seed: int = 0) -> dict:
         RuntimeError: when any contract is violated — the artifact is
             never written from a run that broke its own claims.
     """
-    import os
+    from dataclasses import replace
 
     from repro import obs
-    from repro.core.config import M2AIConfig
     from repro.core.pipeline import M2AIPipeline
-    from repro.data.generator import GenerationConfig, SyntheticDatasetGenerator
-    from repro.eval.harness import get_raw_samples
+    from repro.eval.harness import runtime_workload
 
-    cfg = GenerationConfig(
-        scenario_labels=("A01", "A03", "A07", "A11"),
-        samples_per_class=6 if quick else 12,
-        duration_s=6.0,
-        calibration_s=20.0,
-        seed=seed,
-    )
-    raw = get_raw_samples(cfg)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(raw))
-    n_serve = max(4, int(0.25 * len(raw)))
-    serve_idx, train_idx = order[:n_serve], order[n_serve:]
-    generator = SyntheticDatasetGenerator(cfg)
-    train_ds = generator.featurize([raw[i] for i in train_idx])
-
-    epochs = 25 if quick else 45
-    override = os.environ.get("REPRO_BENCH_EPOCHS")
-    if override:
-        epochs = min(epochs, int(override))
+    workload = runtime_workload(quick, seed)
     t_setup = time.perf_counter()
     # A compact edge-serving config: the bench measures the *serving
     # infrastructure* (pooled DSP + shared inference vs the naive
     # loop), so it deploys the smallest member of the model family —
     # both modes serve the identical fitted model, and the throughput
     # contract also requires their decisions to match exactly.
-    model_cfg = M2AIConfig(
+    model_cfg = replace(
+        workload.training,
         conv_channels=(8, 12),
         conv_kernels=(5, 3),
         branch_dim=24,
         merge_dim=24,
         lstm_hidden=16,
         lstm_layers=1,
-        epochs=epochs,
-        batch_size=8,
-        seed=seed,
     )
-    pipeline = M2AIPipeline(model_cfg)
-    pipeline.fit(train_ds)
+    pipeline = M2AIPipeline(model_cfg).fit(workload.train)
     setup_s = time.perf_counter() - t_setup
 
-    serve_raws = [raw[i] for i in serve_idx]
+    serve_raws = workload.held_out
     dwell = serve_raws[0].log.meta.dwell_s
     window_s = WINDOW_FRAMES * dwell
 
@@ -512,7 +489,7 @@ def run_serving_bench(quick: bool = True, seed: int = 0) -> dict:
         "quick": bool(quick),
         "seed": int(seed),
         "setup_s": round(setup_s, 3),
-        "epochs": int(epochs),
+        "epochs": int(model_cfg.epochs),
         "window_s": float(window_s),
         "window_frames": WINDOW_FRAMES,
         "n_serve_recordings": len(serve_raws),

@@ -1,19 +1,17 @@
-"""Observability: tracing, metrics, and profiling for the M²AI path.
+"""Observability: tracing and metrics for the M²AI path.
 
-Three layers, all stdlib-only and off by default:
+Two layers, both stdlib-only and off by default:
 
 * :mod:`repro.obs.tracing` — ``span("stage")`` context managers
   producing nested wall/CPU span trees in a thread-safe collector;
 * :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket
-  histograms, exportable as JSON and Prometheus text;
-* :mod:`repro.obs.profile` — ``python -m repro.obs.profile`` runs a
-  streaming workload and writes ``BENCH_obs_realtime.json`` with
-  per-stage p50/p95/p99 latencies.
+  histograms, exportable as JSON and Prometheus text.
 
-The profiling driver (:mod:`repro.obs.profile`) is deliberately *not*
-imported here: it is the ``python -m`` entry point and pulls in the
-data-generation stack, which instrumented library modules must never
-do.  The facade functions below (:func:`counter`, :func:`gauge`,
+Timing the pipeline per phase and per NN layer, forward and backward,
+is the repository benchmark's job (``perfbench/run.py --trace 1``),
+which records its own spans around the public entry points.
+
+The facade functions below (:func:`counter`, :func:`gauge`,
 :func:`histogram`) are what instrumented call sites use — they return
 a shared :class:`~repro.obs.metrics.NullMetric` while instrumentation
 is disabled, so the disabled path costs a flag check (<2% overhead on
@@ -29,7 +27,6 @@ Quickstart::
     print(obs.get_registry().to_prometheus())
 """
 
-from repro.obs.instrument import nn_layer_spans
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
     Counter,
@@ -72,7 +69,6 @@ __all__ = [
     "get_registry",
     "histogram",
     "is_enabled",
-    "nn_layer_spans",
     "render_span_tree",
     "reset",
     "reset_registry",

@@ -74,3 +74,65 @@ class TestTrainEval:
         assert 0.0 <= result.accuracy <= 1.0
         assert pipeline.history is not None
         assert len(pipeline.history.loss) == 4
+
+
+def _fig_training(quick):
+    from repro.eval.experiments import _train_config
+
+    return _train_config(quick, 0)
+
+
+def _ext_training(quick):
+    from repro.eval.extensions import _training
+
+    return _training(quick, 0)
+
+
+def _transfer_training(quick):
+    from repro.eval.extensions import _training
+
+    return _training(quick, 0, floor=30)
+
+
+def _domain_shift_training(quick):
+    from repro.experiments.domain_shift import _train_config
+
+    return _train_config(quick, 0)
+
+
+def _runtime_training(quick):
+    from repro.eval.harness import runtime_training
+
+    return runtime_training(quick, 0)
+
+
+# (quick, full) epochs per driver under each REPRO_BENCH_EPOCHS value:
+# a plain trim for most drivers, a trim with a floor for the two
+# transfer studies.
+EPOCH_BUDGETS = {
+    "figures": (_fig_training, {None: (40, 60), "8": (8, 8), "15": (15, 15), "100": (40, 60)}),
+    "ext-augment": (_ext_training, {None: (40, 60), "8": (8, 8), "15": (15, 15), "100": (40, 60)}),
+    "ext-transfer": (
+        _transfer_training,
+        {None: (40, 60), "8": (30, 30), "15": (30, 30), "100": (40, 60)},
+    ),
+    "ext-domain-shift": (
+        _domain_shift_training,
+        {None: (30, 50), "8": (20, 20), "15": (20, 20), "100": (30, 50)},
+    ),
+    "runtime studies": (
+        _runtime_training,
+        {None: (25, 45), "8": (8, 8), "15": (15, 15), "100": (25, 45)},
+    ),
+}
+
+
+@pytest.mark.parametrize("override", [None, "8", "15", "100"])
+@pytest.mark.parametrize("driver", sorted(EPOCH_BUDGETS))
+def test_epoch_budget_per_driver(monkeypatch, driver, override):
+    if override is None:
+        monkeypatch.delenv("REPRO_BENCH_EPOCHS", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_BENCH_EPOCHS", override)
+    training, expected = EPOCH_BUDGETS[driver]
+    assert (training(True).epochs, training(False).epochs) == expected[override]

@@ -115,6 +115,23 @@ class TestExperimentsMd:
             list(reversed(records))
         )
 
+    def test_committed_file_holds_only_rendered_sections(self):
+        # scripts/run_experiments.py rewrites the whole file from the
+        # store, so a hand-written section would be erased on the next
+        # regeneration.
+        from pathlib import Path
+
+        from repro.experiments import EXPERIMENTS_HEADER
+
+        committed = (Path(__file__).resolve().parents[2] / "EXPERIMENTS.md").read_text()
+        rendered = render_experiments_md([record_for("fig09")])
+
+        def headings(text):
+            return {line for line in text.splitlines() if line.startswith("## ")}
+
+        assert committed.startswith(EXPERIMENTS_HEADER)
+        assert headings(committed) <= headings(rendered)
+
     def test_write_from_store_is_atomic(self, tmp_path):
         store = ResultsStore(tmp_path / "store")
         store.put(record_for("fig09"))

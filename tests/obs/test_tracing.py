@@ -211,3 +211,23 @@ class TestAutoHistogram:
         hist = metrics["dsp.music.latency_ms"]
         assert hist.kind == "histogram"
         assert hist.count == 1
+
+
+class TestSpanExitGuard:
+    def test_metric_clash_does_not_crash_instrumented_code(self):
+        # A counter squatting on the span's auto-histogram name makes
+        # the registry raise a kind clash; the span must swallow it
+        # and count a dropped observation instead.
+        obs.enable()
+        obs.get_registry().counter("clashing.stage.latency_ms").inc()
+        with span("clashing.stage"):
+            pass
+        metrics = {m.name: m for m in obs.get_registry().collect()}
+        assert metrics["obs.dropped_observations_total"].value == 1.0
+
+    def test_invalid_span_name_does_not_crash(self):
+        obs.enable()
+        with span("Not A Valid Metric Name"):
+            pass
+        metrics = {m.name: m for m in obs.get_registry().collect()}
+        assert metrics["obs.dropped_observations_total"].value == 1.0
