@@ -170,9 +170,9 @@ class M2AIPipeline:
         restores the training-precision path.  ``"float32"`` builds a
         cast-once serve model: the trained weights are deep-copied,
         cast to :data:`~repro.nn.module.INFERENCE_DTYPE` inside
-        ``inference_mode()`` (frozen read-only, conv taps pre-packed),
-        and accepted only if its argmax decisions on ``parity`` equal
-        the float64 reference exactly.  Training state is untouched —
+        ``inference_mode()`` (frozen read-only), and accepted only if
+        its argmax decisions on ``parity`` equal the float64 reference
+        exactly.  Training state is untouched —
         ``fit``/``fine_tune`` keep operating on the float64 model and
         invalidate the pack.
 

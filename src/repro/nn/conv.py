@@ -2,10 +2,19 @@
 
 The paper's CONV-E1/E2/E3 layers slide over the 180-angle axis of the
 pseudospectrum frame; 1-D convolution over that axis with the tag axis
-as channels realises the same structure.  Implemented as one matmul
-per kernel tap over strided views, so memory stays ``O(input)`` — an
-im2col buffer is ``K`` times the input and its transpose-copy becomes
-the bottleneck at the large batches cross-stream serving produces.
+as channels realises the same structure.
+
+:class:`Conv1d` is a chunked im2col kernel.  The batch is walked in
+fixed chunks of :data:`CHUNK` samples; each chunk's padded input is
+gathered channel-major into ``cols (C·K, b·L_out)`` by ``K`` strided
+copies, so the layer is one ``(C_out, C·K) @ cols`` GEMM forward and
+two GEMMs backward (``dW`` and ``dcols``, then a ``K``-tap col2im add);
+a ones row appended to ``cols`` carries the bias and its gradient
+through the same GEMMs.  Chunking keeps the column buffer ~1 MB,
+inside cache: an unchunked im2col buffer is ``K`` times the whole
+input (tens of MB at serve batch sizes) and its copies cost what the
+single GEMM saves.  The per-tap kernel it replaced is the parity
+oracle in ``tests/nn/conv_oracle.py``.
 """
 
 from __future__ import annotations
@@ -14,6 +23,9 @@ import numpy as np
 
 from repro.nn.init import he_uniform
 from repro.nn.module import Module, Parameter
+
+CHUNK = 32
+"""Samples per im2col chunk: sizes the column buffer, not the result."""
 
 
 def _out_length(length: int, kernel: int, stride: int, padding: int) -> int:
@@ -54,51 +66,27 @@ class Conv1d(Module):
         self.bias = Parameter(np.zeros(out_channels), name=f"{name}.b")
         self._x_pad: np.ndarray | None = None
         self._x_shape: tuple[int, ...] | None = None
-        self._packed: np.ndarray | None = None
-        self._packed_key: tuple | None = None
 
-    def _tap_view(self, x_pad: np.ndarray, k: int, l_out: int) -> np.ndarray:
-        """Strided view of tap ``k``'s input columns, shape: ``(B, C, L_out)``."""
-        return x_pad[:, :, k : k + self.stride * l_out : self.stride]
+    def _im2col(self, x_pad: np.ndarray, l_out: int, buf: np.ndarray) -> np.ndarray:
+        """Gather one chunk's columns channel-major into ``buf``.
 
-    def _weight_key(self) -> tuple:
-        """Cache key for the pre-packed taps, in the steering-cache style.
-
-        Identity of the weight buffer (data pointer), its layout
-        (shape + dtype) and its frozen-ness.  A pack is only *used* when
-        the weight is read-only, so a matching key proves the packed
-        views still reflect the buffer contents — in-place mutation of
-        a frozen array is impossible, and any rebind changes the
-        pointer.
+        ``x_pad`` is a padded ``(b, C, L_pad)`` chunk and ``buf`` a flat
+        scratch buffer of at least ``(C·K + 1)·b·L_out`` elements.
+        Returns the columns, shape: ``(C*K + 1, b*L_out)``; row
+        ``c·K + k`` holds tap ``k`` of channel ``c``, matching the free
+        contiguous view ``weight.reshape(C_out, C·K)``, and the last row
+        is ones, so the bias rides in the same GEMM (forward) and its
+        gradient falls out of the ``dW`` GEMM (backward).
         """
-        w = self.weight.value
-        return (
-            w.__array_interface__["data"][0],
-            w.shape,
-            w.dtype.str,
-            bool(w.flags.writeable),
-        )
-
-    def pack_weights(self) -> None:
-        """Pre-pack per-tap weight matrices for the inference fast path.
-
-        ``weight`` is stored ``(C_out, C, K)``, so the per-tap slice
-        ``w[:, :, k]`` the forward matmul consumes is non-contiguous
-        (stride ``K`` between row elements) and re-gathered on every
-        call.  The pack copies the taps once into a contiguous
-        ``(K, C_out, C)`` block — shape: ``(K, C_out, C)`` — frozen
-        read-only and keyed on the weight buffer like the
-        steering-matrix cache (read-only hits, identity-keyed);
-        :func:`repro.nn.module.cast_once` calls this after freezing the
-        serve model's weights.  The training path never packs because
-        the optimizer mutates weights in place every step, which would
-        silently invalidate the views.
-        """
-        w = self.weight.value
-        packed = np.ascontiguousarray(np.moveaxis(w, 2, 0))
-        packed.flags.writeable = False
-        self._packed = packed
-        self._packed_key = self._weight_key()
+        b, channels, _ = x_pad.shape
+        rows = channels * self.kernel
+        cols = buf[: (rows + 1) * b * l_out].reshape(rows + 1, b * l_out)
+        cols[rows] = 1.0
+        taps = cols[:rows].reshape(channels, self.kernel, b, l_out)
+        x_cm = x_pad.transpose(1, 0, 2)  # (C, b, L_pad) view
+        for k in range(self.kernel):
+            taps[:, k] = x_cm[:, :, k : k + self.stride * l_out : self.stride]
+        return cols
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         """Forward pass (caches what :meth:`backward` needs).
@@ -112,58 +100,76 @@ class Conv1d(Module):
             raise ValueError(
                 f"expected (B, {self.in_channels}, L), got {x.shape}"
             )
-        batch, _c, length = x.shape
+        batch, channels, length = x.shape
+        c_out, rows = self.out_channels, channels * self.kernel
         l_out = _out_length(length, self.kernel, self.stride, self.padding)
         if self.padding:
             # Direct zero-buffer fill: np.pad's generality costs more
             # Python time than this whole layer at serve batch sizes.
             x_pad = np.zeros(
-                (batch, self.in_channels, length + 2 * self.padding),
-                dtype=x.dtype,
+                (batch, channels, length + 2 * self.padding), dtype=x.dtype
             )
             x_pad[:, :, self.padding : self.padding + length] = x
         else:
             x_pad = x
         self._x_pad = x_pad
         self._x_shape = x.shape
-        w = self.weight.value  # (C_out, C, K)
-        packed = self._packed
-        use_packed = (
-            packed is not None
-            and not training
-            and not w.flags.writeable
-            and self._packed_key == self._weight_key()
-        )
-        dtype = np.result_type(x.dtype, w.dtype)
-        y = np.empty((batch, self.out_channels, l_out), dtype=dtype)
-        y[...] = self.bias.value[:, None].astype(dtype, copy=False)
-        for k in range(self.kernel):
-            # (C_out, C) @ (B, C, L_out) broadcasts over the batch.
-            wk = packed[k] if use_packed else w[:, :, k]
-            y += np.matmul(wk, self._tap_view(x_pad, k, l_out))
+        dtype = np.result_type(x.dtype, self.weight.value.dtype)
+        w_bias = np.empty((c_out, rows + 1), dtype=dtype)
+        w_bias[:, :rows] = self.weight.value.reshape(c_out, rows)
+        w_bias[:, rows] = self.bias.value
+        chunk = min(batch, CHUNK)
+        col_buf = np.empty((rows + 1) * chunk * l_out, dtype=dtype)
+        out_buf = np.empty(c_out * chunk * l_out, dtype=dtype)
+        y = np.empty((batch, c_out, l_out), dtype=dtype)
+        for start in range(0, batch, chunk):
+            stop = min(start + chunk, batch)
+            b = stop - start
+            out = out_buf[: c_out * b * l_out].reshape(c_out, b * l_out)
+            np.matmul(w_bias, self._im2col(x_pad[start:stop], l_out, col_buf), out=out)
+            y[start:stop] = out.reshape(c_out, b, l_out).transpose(1, 0, 2)
         return y
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         """Backprop through the cached forward pass; returns the input gradient."""
         if self._x_pad is None or self._x_shape is None:
             raise RuntimeError("backward before forward")
-        batch, _c, length = self._x_shape
-        l_out = grad.shape[2]
+        x_pad = self._x_pad
+        batch, channels, length = self._x_shape
+        c_out, k_taps, stride = self.out_channels, self.kernel, self.stride
+        rows = channels * k_taps
+        l_out, l_pad = grad.shape[2], x_pad.shape[2]
         w = self.weight.value
-        dx_pad = np.zeros_like(self._x_pad)
-        for k in range(self.kernel):
-            self.weight.grad[:, :, k] += np.tensordot(
-                grad, self._tap_view(self._x_pad, k, l_out), axes=([0, 2], [0, 2])
+        dtype = np.result_type(grad.dtype, x_pad.dtype, w.dtype)
+        w_mat_t = w.reshape(c_out, rows).T
+        # [dW | db]: the ones row of the columns turns the bias gradient
+        # into one more column of the weight-gradient GEMM.
+        dw_bias = np.zeros((c_out, rows + 1), dtype=dtype)
+        chunk = min(batch, CHUNK)
+        col_buf = np.empty((rows + 1) * chunk * l_out, dtype=dtype)
+        # One chunk's padded input gradient, channel-major so the col2im
+        # adds run along contiguous rows.
+        dxp_buf = np.empty(channels * chunk * l_pad, dtype=dtype)
+        dx = np.empty(self._x_shape, dtype=dtype)
+        for start in range(0, batch, chunk):
+            stop = min(start + chunk, batch)
+            b = stop - start
+            g_mat = np.ascontiguousarray(grad[start:stop].transpose(1, 0, 2))
+            g_mat = g_mat.reshape(c_out, b * l_out)
+            dw_bias += g_mat @ self._im2col(x_pad[start:stop], l_out, col_buf).T
+            dcols = (w_mat_t @ g_mat).reshape(channels, k_taps, b, l_out)
+            dxp = dxp_buf[: channels * b * l_pad].reshape(channels, b, l_pad)
+            dxp.fill(0.0)
+            for k in range(k_taps):
+                # Overlapping taps (stride < kernel) accumulate correctly
+                # because each tap's += runs on its own strided view in turn.
+                dxp[:, :, k : k + stride * l_out : stride] += dcols[:, k]
+            dx[start:stop] = dxp[:, :, self.padding : self.padding + length].transpose(
+                1, 0, 2
             )
-            # Overlapping taps (stride < kernel) accumulate correctly
-            # because each tap's += runs on its own strided view in turn.
-            dx_pad[:, :, k : k + self.stride * l_out : self.stride] += np.matmul(
-                w[:, :, k].T, grad
-            )
-        self.bias.grad += grad.sum(axis=(0, 2))
-        if self.padding:
-            return dx_pad[:, :, self.padding : self.padding + length]
-        return dx_pad
+        self.weight.grad += dw_bias[:, :rows].reshape(w.shape)
+        self.bias.grad += dw_bias[:, rows]
+        return dx
 
 
 class MaxPool1d(Module):
@@ -198,7 +204,7 @@ class MaxPool1d(Module):
         if self._x_shape is None or self._argmax is None or self._gather is None:
             raise RuntimeError("backward before forward")
         batch, channels, length = self._x_shape
-        dx = np.zeros(self._x_shape)
+        dx = np.zeros(self._x_shape, dtype=grad.dtype)
         l_out = grad.shape[2]
         b_idx, c_idx, o_idx = np.indices((batch, channels, l_out))
         src = self._gather[o_idx, self._argmax]

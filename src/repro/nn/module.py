@@ -156,24 +156,6 @@ class Module:
                         params.append(item)
         return params
 
-    def modules(self) -> list["Module"]:
-        """This module and every sub-module, depth-first, deterministic order.
-
-        The structural companion of :meth:`parameters`: walks the same
-        attribute/list/tuple registration scheme but yields the modules
-        themselves, so whole-model passes (weight packing, freezing)
-        can visit each layer exactly once.
-        """
-        found: list[Module] = [self]
-        for _name, attr in sorted(vars(self).items()):
-            if isinstance(attr, Module):
-                found.extend(attr.modules())
-            elif isinstance(attr, (list, tuple)):
-                for item in attr:
-                    if isinstance(item, Module):
-                        found.extend(item.modules())
-        return found
-
     def zero_grad(self) -> None:
         """Reset every parameter gradient to zero."""
         for p in self.parameters():
@@ -205,21 +187,19 @@ class Module:
 
 
 def cast_once(module: Module, dtype: np.dtype | type) -> Module:
-    """Cast every parameter of ``module`` to ``dtype``, freeze, and pre-pack.
+    """Cast every parameter of ``module`` to ``dtype`` and freeze it.
 
     The serve-path primitive: a trained model is deep-copied by the
-    caller, cast down *once* here, and then only ever run forward.  Three
+    caller, cast down *once* here, and then only ever run forward.  Two
     things happen, in order:
 
     1. every :class:`Parameter` value is cast to ``dtype`` (gradients are
        re-zeroed in the new dtype so the invariant ``value.dtype ==
        grad.dtype`` holds),
     2. every parameter value is frozen read-only, so in-place training
-       updates (and :meth:`Module.set_state`) fail loudly instead of
-       silently invalidating pre-packed views,
-    3. every layer exposing ``pack_weights()`` (e.g.
-       :class:`repro.nn.conv.Conv1d`) pre-packs contiguous weight views
-       keyed on the now-frozen buffer.
+       updates (and :meth:`Module.set_state`) on a serve model fail
+       loudly instead of silently changing the weights its parity gate
+       accepted.
 
     Narrow targets (anything below :data:`DEFAULT_DTYPE`) must be
     requested inside :func:`inference_mode` — the same scope the RPR012
@@ -227,8 +207,7 @@ def cast_once(module: Module, dtype: np.dtype | type) -> Module:
     be built on a code path where narrow activations would leak into
     training.
 
-    Idempotent: casting to the current dtype only re-freezes and
-    re-packs.
+    Idempotent: casting to the current dtype only re-freezes.
 
     Args:
         module: the model to cast in place (cast your own deepcopy).
@@ -255,10 +234,6 @@ def cast_once(module: Module, dtype: np.dtype | type) -> Module:
             p.value = p.value.astype(dt)
             p.grad = np.zeros_like(p.value)
         p.value.flags.writeable = False
-    for sub in module.modules():
-        pack = getattr(sub, "pack_weights", None)
-        if callable(pack):
-            pack()
     return module
 
 

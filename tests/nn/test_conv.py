@@ -78,6 +78,13 @@ class TestMaxPool1d:
         grad = pool.backward(np.array([[[1.0, 1.0]]]))
         np.testing.assert_allclose(grad, [[[0.0, 1.0, 0.0, 1.0]]])
 
+    def test_float32_backward_stays_float32(self):
+        pool = MaxPool1d(2)
+        x = RNG.normal(size=(2, 3, 8)).astype(np.float32)
+        out = pool(x)
+        assert out.dtype == np.float32
+        assert pool.backward(np.ones_like(out)).dtype == np.float32
+
 
 class TestGlobalAveragePool:
     def test_output(self):
