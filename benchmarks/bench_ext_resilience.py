@@ -8,12 +8,11 @@ def test_ext_resilience_supervised_sweep(run_experiment):
     result = run_experiment(run_ext_resilience)
     measured = result.measured_by_name()
 
-    # Full kind x severity grid, with decided-rate and throughput rows.
+    # Full kind x severity grid, with a decided-rate row per cell.
     for kind in DEFAULT_FAULT_KINDS:
         for severity in DEFAULT_SEVERITIES:
             decided = measured[f"{kind} s={severity:.1f} decided"]
             assert 0.0 <= decided <= 1.0
-            assert measured[f"{kind} s={severity:.1f} throughput"] > 0.0
 
     # Clean serving must actually decide (the baseline is healthy).
     assert all(

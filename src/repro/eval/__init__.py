@@ -24,9 +24,7 @@ from repro.eval.harness import (
 from repro.eval.extensions import (
     EXTENSIONS,
     run_ext_augmentation,
-    run_ext_batching,
     run_ext_hub_coverage,
-    run_ext_realtime,
     run_ext_transfer,
 )
 from repro.eval.reporting import ExperimentResult, ExperimentRow, bar_chart
@@ -73,9 +71,7 @@ __all__ = [
     "get_dataset",
     "get_raw_samples",
     "run_ext_augmentation",
-    "run_ext_batching",
     "run_ext_hub_coverage",
-    "run_ext_realtime",
     "run_ext_resilience",
     "run_ext_robustness",
     "run_ext_serving",

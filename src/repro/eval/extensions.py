@@ -3,13 +3,14 @@
 The paper closes with two deployment questions it leaves open: how the
 model behaves *across* environments (it expects retraining to be
 needed) and how coverage scales with antenna hubs.  These drivers
-quantify both on the simulator, plus two engineering ablations the
-design section calls out.
+quantify both on the simulator, plus an engineering ablation the
+design section calls out and the runtime studies (robustness,
+resilience, fleet serving), which check behaviour, not speed —
+perfbench (``perfbench/run.py``) is the one place the repo times
+itself.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -146,176 +147,11 @@ def run_ext_augmentation(quick: bool = True, seed: int = 0) -> ExperimentResult:
     )
 
 
-def run_ext_realtime(quick: bool = True, seed: int = 0) -> ExperimentResult:
-    """Serving latency: featurise + classify one observation window.
-
-    The paper claims real-time identification; here we measure the
-    full per-window cost on CPU — preprocessing (calibration + MUSIC +
-    periodogram) and network inference — against the 6 s window it
-    must keep up with.
-    """
-    from repro.data.generator import SyntheticDatasetGenerator
-    from repro.eval.harness import get_raw_samples
-
-    cfg = _cfg(quick, seed)
-    raw = get_raw_samples(cfg)[:8]
-    generator = SyntheticDatasetGenerator(cfg)
-    dataset = generator.featurize(raw)
-    training = M2AIConfig(epochs=10, batch_size=8, seed=seed)
-    pipeline = M2AIPipeline(training).fit(dataset)
-
-    t0 = time.perf_counter()
-    for sample in raw:
-        generator.featurize([sample])
-    featurize_s = (time.perf_counter() - t0) / len(raw)
-
-    single = dataset.subset(np.array([0]))
-    t0 = time.perf_counter()
-    for _ in range(20):
-        pipeline.predict(single)
-    infer_s = (time.perf_counter() - t0) / 20.0
-
-    window = cfg.duration_s
-    rows = [
-        ExperimentRow("featurise one window (s)", None, featurize_s, unit="s"),
-        ExperimentRow("network inference (s)", None, infer_s, unit="s"),
-        ExperimentRow(
-            "real-time margin (window / total)",
-            None,
-            window / max(featurize_s + infer_s, 1e-9),
-            unit="x",
-        ),
-    ]
-    return ExperimentResult(
-        experiment_id="ext-realtime",
-        title="Serving latency per observation window",
-        rows=rows,
-        notes=f"Window length {window:.0f} s; margin > 1 means real-time on CPU.",
-    )
-
-
-def run_ext_batching(quick: bool = True, seed: int = 0) -> ExperimentResult:
-    """Per-dwell vs pooled calls of the same DSP kernels.
-
-    Every dwell can go through the MUSIC and periodogram kernels on its
-    own (``music_pseudospectrum`` / ``spatial_periodogram``, each a
-    batch of one) or pooled with the rest of its window's dwells into
-    one stacked call (``music_spectra_batch`` /
-    ``spatial_periodogram_batch``), which is what featurisation runs.
-    This driver runs both on identical simulated dwells, checks the
-    spectra agree to ``rtol=1e-12`` (the pooling contract), and reports
-    the cost and speedup of each stage.
-
-    Raises:
-        AssertionError: when a pooled spectrum deviates from its
-            per-dwell call beyond ``rtol=1e-12``.
-    """
-    from repro.dsp.correlation import spatial_covariance_stack
-    from repro.dsp.snapshots import tag_snapshot_set
-    from repro.dsp.music import (
-        clear_steering_cache,
-        music_pseudospectrum,
-        music_spectra_batch,
-    )
-    from repro.dsp.periodogram import (
-        spatial_periodogram,
-        spatial_periodogram_batch,
-    )
-    from repro.eval.harness import get_raw_samples
-
-    raw = get_raw_samples(_cfg(quick, seed))[: 4 if quick else 8]
-    z_rows, valid_rows, wavelengths = [], [], []
-    spacing = raw[0].log.meta.spacing_m
-    for sample in raw:
-        psi = sample.psi()
-        for snaps in tag_snapshot_set(sample.log, psi, sample.n_frames):
-            for f in range(snaps.n_frames):
-                if snaps.frame_valid(f):
-                    z_rows.append(snaps.z[f])
-                    valid_rows.append(snaps.valid[f])
-                    wavelengths.append(float(snaps.wavelength_m[f]))
-    z = np.stack(z_rows)
-    valid = np.stack(valid_rows)
-    wl = np.asarray(wavelengths)
-    n_dwells = z.shape[0]
-    covs = spatial_covariance_stack(z, valid)
-    repeat = 3 if quick else 10
-
-    clear_steering_cache()
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        per_dwell_music = [
-            music_pseudospectrum(covs[w], spacing, wl[w]).spectrum
-            for w in range(n_dwells)
-        ]
-    music_per_dwell_ms = (time.perf_counter() - t0) * 1000.0 / repeat
-
-    clear_steering_cache()
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        pooled_music, _dims, _eigs = music_spectra_batch(covs, spacing, wl)
-    music_pooled_ms = (time.perf_counter() - t0) * 1000.0 / repeat
-    np.testing.assert_allclose(
-        pooled_music, np.stack(per_dwell_music), rtol=1e-12,
-        err_msg="pooled MUSIC deviates from the per-dwell calls",
-    )
-
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        per_dwell_period = np.stack(
-            [spatial_periodogram(z[w], valid[w]) for w in range(n_dwells)]
-        )
-    period_per_dwell_ms = (time.perf_counter() - t0) * 1000.0 / repeat
-
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        pooled_period = spatial_periodogram_batch(z, valid)
-    period_pooled_ms = (time.perf_counter() - t0) * 1000.0 / repeat
-    np.testing.assert_allclose(
-        pooled_period, per_dwell_period, rtol=1e-12,
-        err_msg="pooled periodogram deviates from the per-dwell calls",
-    )
-
-    rows = [
-        ExperimentRow("dwells in batch", None, float(n_dwells), unit="dwells"),
-        ExperimentRow("MUSIC per-dwell calls", None, music_per_dwell_ms, unit="ms"),
-        ExperimentRow("MUSIC pooled", None, music_pooled_ms, unit="ms"),
-        ExperimentRow(
-            "MUSIC speedup",
-            None,
-            music_per_dwell_ms / max(music_pooled_ms, 1e-9),
-            unit="x",
-        ),
-        ExperimentRow(
-            "periodogram per-dwell calls", None, period_per_dwell_ms, unit="ms"
-        ),
-        ExperimentRow("periodogram pooled", None, period_pooled_ms, unit="ms"),
-        ExperimentRow(
-            "periodogram speedup",
-            None,
-            period_per_dwell_ms / max(period_pooled_ms, 1e-9),
-            unit="x",
-        ),
-    ]
-    return ExperimentResult(
-        experiment_id="ext-batching",
-        title="Pooled vs per-dwell DSP kernel calls",
-        rows=rows,
-        notes=(
-            f"{n_dwells} real dwells from {len(raw)} simulated windows; "
-            "pooled spectra verified bit-close (rtol 1e-12) against the "
-            "per-dwell calls before timing is reported."
-        ),
-    )
-
-
 EXTENSIONS = {
     "ext-transfer": run_ext_transfer,
     "ext-hub": run_ext_hub_coverage,
     "ext-augment": run_ext_augmentation,
-    "ext-realtime": run_ext_realtime,
     "ext-robustness": run_ext_robustness,
-    "ext-batching": run_ext_batching,
     "ext-resilience": run_ext_resilience,
     "ext-serving": run_ext_serving,
 }

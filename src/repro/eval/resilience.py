@@ -1,11 +1,13 @@
 """Resilience evaluation: the fault sweep served through the supervisor.
 
-PR 1 measured what injected faults do to *accuracy* through the bare
-:class:`~repro.core.streaming.StreamingIdentifier`
-(:mod:`repro.eval.robustness`); this driver replays the same severity
-sweep through the :class:`~repro.runtime.supervisor.PipelineSupervisor`
-and measures what the *runtime* does with those faults: recovered
-throughput, abstain and dead-letter rates, shed windows, and breaker
+:mod:`repro.eval.robustness` measures what injected faults do to
+*accuracy* through the bare
+:class:`~repro.core.streaming.StreamingIdentifier`; this driver serves
+the same sweep (:func:`~repro.eval.robustness.fault_sweep`, one
+corruption protocol for both) through the
+:class:`~repro.runtime.supervisor.PipelineSupervisor` and records what
+the *runtime* does with those faults: decided, abstain and
+dead-letter counts, shed windows, escaped exceptions, and breaker
 behaviour — plus two focused studies:
 
 * a **transport study**: a FlakyReader-style ingest transport that
@@ -35,14 +37,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.core.streaming import StreamingIdentifier, split_windows
-from repro.dsp.calibration import PhaseCalibrator
 from repro.eval.reporting import ExperimentResult, ExperimentRow
 from repro.eval.robustness import (
     DEFAULT_FAULT_KINDS,
     DEFAULT_SEVERITIES,
     _clean_calibrator,
+    fault_sweep,
 )
-from repro.faults import FaultSpec, apply_faults
 from repro.runtime import (
     PipelineSupervisor,
     RetryExhaustedError,
@@ -69,8 +70,6 @@ class ResilienceCell:
         shed: windows dropped by backpressure.
         uncaught: exceptions that escaped the supervisor (must be 0).
         accuracy: accuracy over decided windows (NaN when none).
-        elapsed_s: wall-clock for the cell's serving pass.
-        throughput_w_per_s: windows served per second of wall-clock.
     """
 
     kind: str
@@ -82,78 +81,26 @@ class ResilienceCell:
     shed: int
     uncaught: int
     accuracy: float
-    elapsed_s: float
-    throughput_w_per_s: float
 
 
-def supervised_serve(
-    identifier: StreamingIdentifier,
-    raw_samples: list,
-    kind: str,
-    severity: float,
-    seed: int = 0,
-) -> ResilienceCell:
-    """Serve fault-injected recordings through a fresh supervisor.
+class _SupervisedCell:
+    """Serves one sweep cell through a fresh supervisor.
 
-    Mirrors the corruption protocol of
-    :func:`repro.eval.robustness.robustness_sweep` (per-sample seeds,
-    ``calibration_gap`` corrupting the bootstrap log) but drives every
-    window through a :class:`PipelineSupervisor`, so stage failures
-    degrade to abstains/dead letters instead of raising.
-
-    Returns:
-        The cell's :class:`ResilienceCell` tallies.
+    An exception escaping :meth:`PipelineSupervisor.process` is tallied
+    as uncaught; the recording then yields no decision, which the sweep
+    counts as one abstention.
     """
-    supervisor = PipelineSupervisor(identifier)
-    spec = FaultSpec(kind=kind, severity=severity)
-    correct = decided = abstained = total = uncaught = 0
-    t0 = time.perf_counter()
-    for i, raw in enumerate(raw_samples):
-        sample_seed = seed * 100_003 + i
-        if kind == "calibration_gap" and severity > 0.0:
-            cal_log = apply_faults(raw.calibration_log, [spec], seed=sample_seed)
-            log = raw.log
-            try:
-                calibrator = PhaseCalibrator.fit(cal_log)
-            except ValueError:  # bootstrap wiped out entirely
-                calibrator = None
-        else:
-            log = apply_faults(raw.log, [spec], seed=sample_seed)
-            calibrator = _clean_calibrator(raw)
-        identifier.calibrator = calibrator
+
+    def __init__(self, identifier: StreamingIdentifier) -> None:
+        self.supervisor = PipelineSupervisor(identifier)
+        self.uncaught = 0
+
+    def __call__(self, log) -> list:
         try:
-            decisions = supervisor.process(log)
+            return self.supervisor.process(log)
         except Exception:  # the supervisor contract says: never
-            uncaught += 1
-            continue
-        if not decisions:
-            # Log too degraded to hold one complete window: count the
-            # recording as an abstention, matching the robustness sweep.
-            abstained += 1
-            total += 1
-            continue
-        for decision in decisions:
-            total += 1
-            if decision.abstained:
-                abstained += 1
-            else:
-                decided += 1
-                correct += int(decision.label == raw.label)
-    elapsed = time.perf_counter() - t0
-    health = supervisor.health()
-    return ResilienceCell(
-        kind=kind,
-        severity=severity,
-        n_windows=total,
-        decided=decided,
-        abstained=abstained,
-        dead_letters=health.windows_failed,
-        shed=health.shed_windows,
-        uncaught=uncaught,
-        accuracy=correct / decided if decided else float("nan"),
-        elapsed_s=elapsed,
-        throughput_w_per_s=total / max(elapsed, 1e-9),
-    )
+            self.uncaught += 1
+            return []
 
 
 def resilience_sweep(
@@ -163,30 +110,39 @@ def resilience_sweep(
     severities: tuple[float, ...] = DEFAULT_SEVERITIES,
     seed: int = 0,
 ) -> list[ResilienceCell]:
-    """The full PR 1 fault sweep, served through the supervisor.
+    """:func:`~repro.eval.robustness.fault_sweep` through the supervisor.
 
-    Severity zero reuses one shared clean pass (the injectors are
-    exact no-ops there), matching the robustness sweep's protocol.
+    Every cell is served by a fresh :class:`PipelineSupervisor`, so
+    stage failures degrade to abstains/dead letters instead of
+    raising; the supervisor's dead-letter and shed counts and any
+    escaped exception are added to the cell's decision tallies.
 
     Returns:
         One :class:`ResilienceCell` per (kind, severity).
     """
-    cells: list[ResilienceCell] = []
-    clean: ResilienceCell | None = None
-    for kind in kinds:
-        for severity in severities:
-            if severity == 0.0:
-                if clean is None:
-                    clean = supervised_serve(
-                        identifier, raw_samples, kind, 0.0, seed
-                    )
-                cells.append(
-                    ResilienceCell(**{**asdict(clean), "kind": kind})
-                )
-                continue
-            cells.append(
-                supervised_serve(identifier, raw_samples, kind, severity, seed)
+    cells = []
+    for cell, serve in fault_sweep(
+        identifier,
+        raw_samples,
+        _SupervisedCell,
+        kinds=kinds,
+        severities=severities,
+        seed=seed,
+    ):
+        health = serve.supervisor.health()
+        cells.append(
+            ResilienceCell(
+                kind=cell.kind,
+                severity=cell.severity,
+                n_windows=cell.n_windows,
+                decided=cell.decided,
+                abstained=cell.abstained,
+                dead_letters=health.windows_failed,
+                shed=health.shed_windows,
+                uncaught=serve.uncaught,
+                accuracy=cell.accuracy,
             )
+        )
     return cells
 
 
@@ -249,7 +205,6 @@ def transport_study(
     fail_rng = np.random.default_rng(seed + 17)
     supervisor = PipelineSupervisor(identifier)
     attempts = delivered = lost = uncaught = 0
-    t0 = time.perf_counter()
     for t_start, window_log in windows:
 
         def fetch(log=window_log):
@@ -273,7 +228,6 @@ def transport_study(
     except Exception:  # the supervisor contract says: never
         decisions = []
         uncaught += 1
-    elapsed = time.perf_counter() - t0
     decided = sum(1 for d in decisions if not d.abstained)
     return {
         "severity": float(severity),
@@ -289,8 +243,6 @@ def transport_study(
             "base_delay_s": policy.base_delay_s,
             "jitter_seed": policy.jitter_seed,
         },
-        "elapsed_s": elapsed,
-        "recovered_throughput_w_per_s": decided / max(elapsed, 1e-9),
     }
 
 
@@ -406,7 +358,6 @@ def run_resilience_bench(quick: bool = True, seed: int = 0) -> dict:
             "breaker did not complete a closed→open→half-open→closed cycle"
         )
 
-    clean = next(c for c in cells if c.severity == 0.0)
     cell_docs = []
     for c in cells:
         c_doc = asdict(c)
@@ -421,7 +372,6 @@ def run_resilience_bench(quick: bool = True, seed: int = 0) -> dict:
         "epochs": int(workload.training.epochs),
         "n_test_recordings": len(test_raws),
         "zero_uncaught_exceptions": True,
-        "clean_throughput_w_per_s": clean.throughput_w_per_s,
         "cells": cell_docs,
         "transport": transport,
         "breaker_cycle": breaker,
@@ -433,9 +383,8 @@ def run_ext_resilience(quick: bool = True, seed: int = 0) -> ExperimentResult:
     """Supervised-runtime resilience: the fault sweep that cannot crash.
 
     The extension-study entry point (``ext-resilience``): runs
-    :func:`run_resilience_bench` and reports decided-rate and
-    recovered-throughput rows per fault cell plus the transport and
-    breaker-cycle outcomes.
+    :func:`run_resilience_bench` and reports a decided-rate row per
+    fault cell plus the transport and breaker-cycle outcomes.
     """
     doc = run_resilience_bench(quick=quick, seed=seed)
     rows = []
@@ -447,14 +396,6 @@ def run_ext_resilience(quick: bool = True, seed: int = 0) -> ExperimentResult:
                 None,
                 decided_rate,
                 unit="rate",
-            )
-        )
-        rows.append(
-            ExperimentRow(
-                f"{cell['kind']} s={cell['severity']:.1f} throughput",
-                None,
-                cell["throughput_w_per_s"],
-                unit="w/s",
             )
         )
     transport = doc["transport"]
@@ -478,7 +419,7 @@ def run_ext_resilience(quick: bool = True, seed: int = 0) -> ExperimentResult:
         title="Supervised runtime: fault sweep through the supervisor",
         rows=rows,
         notes=(
-            "Every window of the PR 1 fault sweep served through "
+            "Every window of the ext-robustness fault sweep served through "
             "PipelineSupervisor: failures degrade to abstain/dead-letter "
             "decisions (zero uncaught exceptions asserted); transport "
             "faults at severity 0.9 are recovered by seeded full-jitter "
@@ -521,20 +462,20 @@ def main(argv: list[str] | None = None) -> int:
     out(f"wrote {args.out}\n")
     out(
         f"{'fault':<18}{'sev':>5}{'windows':>9}{'decided':>9}"
-        f"{'abstain':>9}{'dead':>6}{'w/s':>8}\n"
+        f"{'abstain':>9}{'dead':>6}\n"
     )
     for cell in doc["cells"]:
         out(
             f"{cell['kind']:<18}{cell['severity']:>5.1f}{cell['n_windows']:>9}"
-            f"{cell['decided']:>9}{cell['abstained']:>9}{cell['dead_letters']:>6}"
-            f"{cell['throughput_w_per_s']:>8.2f}\n"
+            f"{cell['decided']:>9}{cell['abstained']:>9}"
+            f"{cell['dead_letters']:>6}\n"
         )
     transport = doc["transport"]
     out(
         f"transport s={transport['severity']:.1f}: "
         f"{transport['windows_delivered']}/{transport['windows_offered']} windows "
         f"delivered in {transport['fetch_attempts']} attempts, "
-        f"{transport['recovered_throughput_w_per_s']:.2f} decided w/s\n"
+        f"{transport['windows_decided']} decided\n"
     )
     out(
         "breaker cycle: "

@@ -9,12 +9,15 @@ rate — giving the repo a quantified robustness baseline.
 
 Decisions go through :class:`~repro.core.streaming.StreamingIdentifier`
 so the numbers reflect the *serving* path, including its graceful
-abstentions, not just batch featurisation.
+abstentions, not just batch featurisation.  The corruption protocol,
+:func:`fault_sweep`, is shared with :mod:`repro.eval.resilience`,
+which serves the same cells through the supervised runtime.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from repro.data.generator import RawSample
 from repro.dsp.calibration import PhaseCalibrator
 from repro.eval.reporting import ExperimentResult, ExperimentRow
 from repro.faults import FaultSpec, apply_faults
+from repro.hardware.llrp import ReadLog
 
 DEFAULT_FAULT_KINDS = (
     "dropout",
@@ -44,17 +48,29 @@ class RobustnessCell:
     Attributes:
         kind: fault kind swept.
         severity: fault severity in ``[0, 1]``.
-        accuracy: accuracy over the *decided* (non-abstained) windows;
-            NaN when every window abstained.
-        abstain_rate: abstained windows / total windows.
-        n_windows: decisions the cell is measured over.
+        n_windows: decisions the cell is measured over (a recording
+            too degraded to hold one window counts as one abstention).
+        decided: labelled (non-abstain) decisions.
+        abstained: abstain decisions.
+        correct: decided windows whose label matched the recording.
     """
 
     kind: str
     severity: float
-    accuracy: float
-    abstain_rate: float
     n_windows: int
+    decided: int
+    abstained: int
+    correct: int
+
+    @property
+    def accuracy(self) -> float:
+        """Accuracy over the decided windows; NaN when all abstained."""
+        return self.correct / self.decided if self.decided else float("nan")
+
+    @property
+    def abstain_rate(self) -> float:
+        """Abstained windows / total windows."""
+        return self.abstained / max(self.n_windows, 1)
 
 
 @dataclass
@@ -93,68 +109,73 @@ class RobustnessReport:
         return "\n".join(lines)
 
 
-def robustness_sweep(
+def fault_sweep(
     identifier: StreamingIdentifier,
     raw_samples: list[RawSample],
+    open_cell: Callable[[StreamingIdentifier], Callable[[ReadLog], list]],
     kinds: tuple[str, ...] = DEFAULT_FAULT_KINDS,
     severities: tuple[float, ...] = DEFAULT_SEVERITIES,
     seed: int = 0,
-) -> RobustnessReport:
-    """Sweep fault severity x kind over held-out raw recordings.
+) -> list[tuple[RobustnessCell, Callable[[ReadLog], list]]]:
+    """The corruption protocol: sweep fault severity x kind.
 
-    Every recording is corrupted per (kind, severity) with a
-    deterministic per-sample seed, then served through ``identifier``;
+    Every recording is corrupted per (kind, severity) with the
+    deterministic per-sample seed ``seed * 100_003 + i``, then served;
     a window's decision counts as correct when its label matches the
     recording's class.  ``calibration_gap`` corrupts the *calibration*
-    log (refitting the calibrator) while the runtime log stays clean;
-    every other kind corrupts the runtime log.  Severity zero reuses
-    one shared clean pass — the injectors are exact no-ops there, so
-    per-kind clean baselines are identical by construction.
+    log (refitting the calibrator; ``None`` when the bootstrap is
+    wiped out) while the runtime log stays clean; every other kind
+    corrupts the runtime log.  Severity zero reuses one shared clean
+    pass — the injectors are exact no-ops there, so per-kind clean
+    baselines are identical by construction.  A recording that yields
+    no decision at all counts as one abstention, not a silent skip.
 
     Args:
         identifier: serving-path identifier wrapping the fitted
             pipeline (its calibrator is replaced per sample).
         raw_samples: held-out recordings with their calibration logs.
+        open_cell: called with ``identifier`` once per served cell;
+            returns the callable that turns one corrupted log into
+            its decisions.
         kinds: fault kinds to sweep.
         severities: severity grid (should include 0.0 for a baseline).
         seed: base seed for the fault scenarios.
 
     Returns:
-        The :class:`RobustnessReport`.
+        ``(cell, serve)`` per (kind, severity), in sweep order, where
+        ``serve`` is the callable ``open_cell`` returned for that cell
+        (the severity-zero cells share one).
     """
-    clean: list[RobustnessCell] | None = None
-    report = RobustnessReport()
+    clean: tuple[RobustnessCell, Callable] | None = None
+    cells: list[tuple[RobustnessCell, Callable]] = []
     for kind in kinds:
         for severity in severities:
             if severity == 0.0:
                 if clean is None:
-                    stats = _serve_all(identifier, raw_samples, kind, 0.0, seed)
-                    clean = [stats]
-                cell = clean[0]
-                report.cells.append(
-                    RobustnessCell(
-                        kind=kind,
-                        severity=0.0,
-                        accuracy=cell.accuracy,
-                        abstain_rate=cell.abstain_rate,
-                        n_windows=cell.n_windows,
+                    clean = _serve_cell(
+                        identifier, raw_samples, open_cell, kind, 0.0, seed
                     )
-                )
+                cell, serve = clean
+                cells.append((replace(cell, kind=kind), serve))
                 continue
-            report.cells.append(
-                _serve_all(identifier, raw_samples, kind, severity, seed)
+            cells.append(
+                _serve_cell(
+                    identifier, raw_samples, open_cell, kind, severity, seed
+                )
             )
-    return report
+    return cells
 
 
-def _serve_all(
+def _serve_cell(
     identifier: StreamingIdentifier,
     raw_samples: list[RawSample],
+    open_cell: Callable[[StreamingIdentifier], Callable[[ReadLog], list]],
     kind: str,
     severity: float,
     seed: int,
-) -> RobustnessCell:
+) -> tuple[RobustnessCell, Callable[[ReadLog], list]]:
     """Serve every recording under one fault setting."""
+    serve = open_cell(identifier)
     correct = decided = abstained = total = 0
     spec = FaultSpec(kind=kind, severity=severity)
     for i, raw in enumerate(raw_samples):
@@ -170,7 +191,7 @@ def _serve_all(
             log = apply_faults(raw.log, [spec], seed=sample_seed)
             calibrator = _clean_calibrator(raw)
         identifier.calibrator = calibrator
-        decisions = identifier.identify(log)
+        decisions = serve(log)
         if not decisions:
             # Log too degraded to hold one complete window: count the
             # recording as an abstention, not a silent skip.
@@ -184,14 +205,41 @@ def _serve_all(
             else:
                 decided += 1
                 correct += int(decision.label == raw.label)
-    accuracy = correct / decided if decided else float("nan")
-    return RobustnessCell(
+    cell = RobustnessCell(
         kind=kind,
         severity=severity,
-        accuracy=accuracy,
-        abstain_rate=abstained / max(total, 1),
         n_windows=total,
+        decided=decided,
+        abstained=abstained,
+        correct=correct,
     )
+    return cell, serve
+
+
+def robustness_sweep(
+    identifier: StreamingIdentifier,
+    raw_samples: list[RawSample],
+    kinds: tuple[str, ...] = DEFAULT_FAULT_KINDS,
+    severities: tuple[float, ...] = DEFAULT_SEVERITIES,
+    seed: int = 0,
+) -> RobustnessReport:
+    """:func:`fault_sweep` served through the bare identifier.
+
+    Each recording goes through ``identifier.identify``; see
+    :func:`fault_sweep` for the corruption protocol.
+
+    Returns:
+        The :class:`RobustnessReport`.
+    """
+    cells = fault_sweep(
+        identifier,
+        raw_samples,
+        lambda ident: ident.identify,
+        kinds=kinds,
+        severities=severities,
+        seed=seed,
+    )
+    return RobustnessReport(cells=[cell for cell, _serve in cells])
 
 
 def _clean_calibrator(raw: RawSample) -> PhaseCalibrator:

@@ -1,21 +1,19 @@
-"""Fleet-serving benchmark: batched throughput scaling and isolation.
+"""Fleet-serving benchmark: isolation and the control surface.
 
-The fleet's two load-bearing claims, measured on a real fitted
-pipeline and committed as evidence:
+The fleet's load-bearing claim, checked on a real fitted pipeline and
+committed as evidence:
 
-* **throughput** — cross-stream batched inference vs the naive
-  one-``predict_proba``-per-window loop across a stream-count scaling
-  curve; the artifact asserts the batched fleet serves at least
-  :data:`BATCH_SPEEDUP_FLOOR` times the naive throughput at
-  :data:`MAX_STREAMS` streams;
 * **isolation** — NaN-poisoning 10% of the fleet's streams must leave
   the remaining 90% with zero uncaught exceptions, decisions
   identical to a fault-free run, and p95 per-window latency within
   :data:`LATENCY_P95_TOLERANCE` of the fault-free run's.
 
-A third section exercises the fleet's control surface (admission
+A second section exercises the fleet's control surface (admission
 rejection, sustained-overload shedding, worker crash reassignment) so
 the counters the operators would alert on are demonstrably live.
+
+Serving throughput and latency are measured by perfbench's ``serve``
+workload (``python3 perfbench/run.py --workload serve``), not here.
 
 Run as a module to produce the benchmark artifact::
 
@@ -37,12 +35,6 @@ from repro.eval.reporting import ExperimentResult, ExperimentRow
 from repro.eval.robustness import _clean_calibrator
 from repro.serving import FleetServer
 
-BATCH_SPEEDUP_FLOOR = 3.0
-"""Required batched/naive throughput ratio at :data:`MAX_STREAMS`."""
-
-MAX_STREAMS = 32
-"""Largest fleet of the scaling curve (the acceptance point)."""
-
 LATENCY_P95_TOLERANCE = 1.25
 """Faulted-run healthy p95 latency must stay within this factor."""
 
@@ -53,10 +45,8 @@ POISON_FRACTION = 0.1
 """Fraction of isolation-study streams that get NaN-poisoned."""
 
 WINDOW_FRAMES = 4
-"""Frames per serving window — short windows keep featurisation
-cheap relative to per-call inference overhead, which is the regime a
-dense multi-room deployment lives in (many rooms, short decision
-windows) and the one where cross-stream batching pays."""
+"""Frames per serving window — the short-window regime a dense
+multi-room deployment lives in (many rooms, short decision windows)."""
 
 
 def _poison_log(log, fraction: float, seed: int):
@@ -70,7 +60,7 @@ def _poison_log(log, fraction: float, seed: int):
     return replace(log, phase_rad=phase)
 
 
-def _stream_workload(raws, n_streams: int, seed: int):
+def _stream_workload(raws, n_streams: int):
     """(stream_id, log, calibrator) per stream, cycling the recordings."""
     out = []
     for i in range(n_streams):
@@ -79,39 +69,32 @@ def _stream_workload(raws, n_streams: int, seed: int):
     return out
 
 
-def _build_fleet(
-    identifier_factory,
-    workload,
-    batch_inference: bool,
-    n_shards: int = 1,
-) -> FleetServer:
+def _build_fleet(identifier_factory, workload, n_shards: int) -> FleetServer:
     fleet = FleetServer(
         identifier_factory,
         capacity=len(workload),
         n_shards=n_shards,
         mode="inline",
-        batch_inference=batch_inference,
         windows_per_stream_per_tick=4,
-        max_queued_windows=100_000,  # throughput runs never shed
+        max_queued_windows=100_000,  # isolation runs never shed
     )
     for sid, _log, calibrator in workload:
         fleet.admit(sid, calibrator=calibrator)
     return fleet
 
 
-def _serve_all(fleet: FleetServer, workload) -> tuple[dict, list[float], float]:
+def _serve_all(fleet: FleetServer, workload) -> tuple[dict, list[float]]:
     """Submit every stream's log and drain; returns decisions + timings.
 
     Returns:
-        ``(decisions, per_window_latency_s, elapsed_s)`` where the
-        latency samples are per-tick elapsed divided by windows served
-        that tick (the per-window cost a tenant actually observes).
+        ``(decisions, per_window_latency_s)`` where the latency samples
+        are per-tick elapsed divided by windows served that tick (the
+        per-window cost a tenant actually observes).
     """
     for sid, log, _cal in workload:
         fleet.submit(sid, log)
     decisions: dict[str, list] = {}
     samples: list[float] = []
-    t0 = time.perf_counter()
     while True:
         t_tick = time.perf_counter()
         out = fleet.tick()
@@ -123,7 +106,7 @@ def _serve_all(fleet: FleetServer, workload) -> tuple[dict, list[float], float]:
             decisions.setdefault(sid, []).extend(ds)
         if fleet.total_queued() == 0:
             break
-    return decisions, samples, time.perf_counter() - t0
+    return decisions, samples
 
 
 def _decision_keys(decisions) -> dict[str, list[tuple]]:
@@ -133,77 +116,6 @@ def _decision_keys(decisions) -> dict[str, list[tuple]]:
             for d in sorted(ds, key=lambda d: d.t_start_s)
         ]
         for sid, ds in decisions.items()
-    }
-
-
-def throughput_study(
-    identifier_factory, raws, stream_counts, seed: int = 0
-) -> dict:
-    """Batched vs naive fleet throughput across stream counts.
-
-    Each point serves the same workload through two inline fleets that
-    differ only in ``batch_inference``; decisions must be identical,
-    so the speedup buys nothing but wall-clock.
-
-    Returns:
-        The ``"throughput"`` section of the benchmark document.
-
-    Raises:
-        RuntimeError: when batched and naive decisions diverge.
-    """
-    points = []
-    for n_streams in stream_counts:
-        workload = _stream_workload(raws, n_streams, seed)
-        modes = {}
-        for batched in (True, False):
-            # Best-of-N wall clock: each run serves ~100 windows in
-            # well under a second, so a single pass is dominated by
-            # cache warmup and scheduler noise.  Decisions must match
-            # across every repetition.
-            elapsed = np.inf
-            keys = None
-            for _rep in range(5):
-                fleet = _build_fleet(identifier_factory, workload, batched)
-                decisions, _samples, rep_elapsed = _serve_all(fleet, workload)
-                fleet.stop()
-                rep_keys = _decision_keys(decisions)
-                if keys is not None and rep_keys != keys:
-                    raise RuntimeError(
-                        f"decisions changed between repetitions at "
-                        f"{n_streams} streams (batched={batched})"
-                    )
-                keys = rep_keys
-                elapsed = min(elapsed, rep_elapsed)
-            n_windows = sum(len(ds) for ds in decisions.values())
-            modes[batched] = {
-                "elapsed_s": elapsed,
-                "n_windows": n_windows,
-                "throughput_w_per_s": n_windows / max(elapsed, 1e-9),
-                "keys": keys,
-            }
-        if modes[True]["keys"] != modes[False]["keys"]:
-            raise RuntimeError(
-                f"batched and naive decisions diverged at {n_streams} streams"
-            )
-        points.append(
-            {
-                "n_streams": int(n_streams),
-                "n_windows": modes[True]["n_windows"],
-                "batched_throughput_w_per_s": modes[True][
-                    "throughput_w_per_s"
-                ],
-                "naive_throughput_w_per_s": modes[False]["throughput_w_per_s"],
-                "speedup": (
-                    modes[True]["throughput_w_per_s"]
-                    / max(modes[False]["throughput_w_per_s"], 1e-9)
-                ),
-                "decisions_identical": True,
-            }
-        )
-    return {
-        "stream_counts": [int(n) for n in stream_counts],
-        "points": points,
-        "speedup_floor": BATCH_SPEEDUP_FLOOR,
     }
 
 
@@ -226,12 +138,12 @@ def isolation_study(
             healthy p95 latency regression beyond
             :data:`LATENCY_P95_TOLERANCE`.
     """
-    workload = _stream_workload(raws, n_streams, seed)
+    workload = _stream_workload(raws, n_streams)
     n_poisoned = max(1, int(round(POISON_FRACTION * n_streams)))
     poisoned_ids = {sid for sid, _l, _c in workload[:n_poisoned]}
 
-    fleet = _build_fleet(identifier_factory, workload, True, n_shards=2)
-    base_decisions, base_samples, _ = _serve_all(fleet, workload)
+    fleet = _build_fleet(identifier_factory, workload, n_shards=2)
+    base_decisions, base_samples = _serve_all(fleet, workload)
     fleet.stop()
 
     faulted_workload = [
@@ -243,9 +155,9 @@ def isolation_study(
         for sid, log, cal in workload
     ]
     uncaught = 0
-    fleet = _build_fleet(identifier_factory, faulted_workload, True, n_shards=2)
+    fleet = _build_fleet(identifier_factory, faulted_workload, n_shards=2)
     try:
-        fault_decisions, fault_samples, _ = _serve_all(fleet, faulted_workload)
+        fault_decisions, fault_samples = _serve_all(fleet, faulted_workload)
     except Exception:  # the fleet contract says: never
         uncaught += 1
         fault_decisions, fault_samples = {}, []
@@ -306,7 +218,7 @@ def isolation_study(
     }
 
 
-def controls_study(identifier_factory, raws, seed: int = 0) -> dict:
+def controls_study(identifier_factory, raws) -> dict:
     """Exercise admission, shedding, and crash reassignment end to end.
 
     Returns:
@@ -317,7 +229,7 @@ def controls_study(identifier_factory, raws, seed: int = 0) -> dict:
             no shed under sustained overload, or no reassignment after
             a worker death).
     """
-    workload = _stream_workload(raws, 6, seed)
+    workload = _stream_workload(raws, 6)
 
     # Admission: capacity 4, offer 6 -> exactly 2 explicit rejections,
     # and the rejected streams' windows come back REASON_ADMISSION.
@@ -413,7 +325,7 @@ def controls_study(identifier_factory, raws, seed: int = 0) -> dict:
 
 
 def run_serving_bench(quick: bool = True, seed: int = 0) -> dict:
-    """Build the workload, run all three studies, assemble the artifact.
+    """Build the workload, run both studies, assemble the artifact.
 
     Trains the same compact 4-class pipeline as the other runtime
     benches, then serves it fleet-wide with short
@@ -431,11 +343,9 @@ def run_serving_bench(quick: bool = True, seed: int = 0) -> dict:
 
     workload = runtime_workload(quick, seed)
     t_setup = time.perf_counter()
-    # A compact edge-serving config: the bench measures the *serving
-    # infrastructure* (pooled DSP + shared inference vs the naive
-    # loop), so it deploys the smallest member of the model family —
-    # both modes serve the identical fitted model, and the throughput
-    # contract also requires their decisions to match exactly.
+    # A compact edge-serving config: the bench checks the *serving
+    # infrastructure* (isolation, controls), so it deploys the
+    # smallest member of the model family.
     model_cfg = replace(
         workload.training,
         conv_channels=(8, 12),
@@ -457,32 +367,18 @@ def run_serving_bench(quick: bool = True, seed: int = 0) -> dict:
             pipeline, window_s=window_s, min_reads=8
         )
 
-    stream_counts = (2, 8, MAX_STREAMS) if quick else (1, 2, 4, 8, 16, MAX_STREAMS)
     isolation_streams = 10 if quick else 20
 
     obs.enable()
     obs.reset()
     try:
-        throughput = throughput_study(
-            identifier_factory, serve_raws, stream_counts, seed=seed
-        )
         isolation = isolation_study(
             identifier_factory, serve_raws, isolation_streams, seed=seed
         )
-        controls = controls_study(identifier_factory, serve_raws, seed=seed)
+        controls = controls_study(identifier_factory, serve_raws)
         metrics_doc = json.loads(obs.get_registry().to_json())
     finally:
         obs.disable()
-
-    top = next(
-        p for p in throughput["points"] if p["n_streams"] == MAX_STREAMS
-    )
-    if top["speedup"] < BATCH_SPEEDUP_FLOOR:
-        raise RuntimeError(
-            f"throughput contract violated: batched fleet is only "
-            f"{top['speedup']:.2f}x the naive loop at {MAX_STREAMS} streams "
-            f"(floor {BATCH_SPEEDUP_FLOOR:.1f}x)"
-        )
 
     return {
         "schema": "repro.serving.bench.v1",
@@ -493,7 +389,6 @@ def run_serving_bench(quick: bool = True, seed: int = 0) -> dict:
         "window_s": float(window_s),
         "window_frames": WINDOW_FRAMES,
         "n_serve_recordings": len(serve_raws),
-        "throughput": throughput,
         "isolation": isolation,
         "controls": controls,
         "metrics": metrics_doc,
@@ -501,43 +396,25 @@ def run_serving_bench(quick: bool = True, seed: int = 0) -> dict:
 
 
 def run_ext_serving(quick: bool = True, seed: int = 0) -> ExperimentResult:
-    """Fleet serving: batched scaling curve plus isolation evidence.
+    """Fleet serving: isolation evidence and the control surface.
 
     The extension-study entry point (``ext-serving``): runs
-    :func:`run_serving_bench` and reports the scaling curve, the
-    32-stream speedup, and the isolation outcomes as rows.
+    :func:`run_serving_bench` and reports the isolation outcomes as
+    rows.
     """
     doc = run_serving_bench(quick=quick, seed=seed)
-    rows = []
-    for point in doc["throughput"]["points"]:
-        rows.append(
-            ExperimentRow(
-                f"{point['n_streams']} streams batched",
-                None,
-                point["batched_throughput_w_per_s"],
-                unit="w/s",
-            )
-        )
-        rows.append(
-            ExperimentRow(
-                f"{point['n_streams']} streams speedup",
-                None,
-                point["speedup"],
-                unit="x",
-            )
-        )
     iso = doc["isolation"]
-    rows.append(
+    rows = [
         ExperimentRow(
             "healthy decisions unchanged",
             None,
             iso["healthy_unchanged_fraction"],
             unit="rate",
-        )
-    )
-    rows.append(
-        ExperimentRow("healthy p95 latency ratio", None, iso["p95_ratio"], unit="x")
-    )
+        ),
+        ExperimentRow(
+            "healthy p95 latency ratio", None, iso["p95_ratio"], unit="x"
+        ),
+    ]
     return ExperimentResult(
         experiment_id="ext-serving",
         title="Fleet serving: cross-stream batching with per-stream isolation",
@@ -550,12 +427,7 @@ def run_ext_serving(quick: bool = True, seed: int = 0) -> ExperimentResult:
             "decisions and bounded latency; admission, shedding, and crash "
             "reassignment counters are exercised live."
         ),
-        extras={
-            "speedup at 32 streams": (
-                f"{doc['throughput']['points'][-1]['speedup']:.2f}x"
-            ),
-            "fleet state after faults": iso["fleet_state_after"],
-        },
+        extras={"fleet state after faults": iso["fleet_state_after"]},
     )
 
 
@@ -567,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.eval.serving",
-        description="Fleet serving benchmark: batching and isolation.",
+        description="Fleet serving benchmark: isolation and controls.",
     )
     parser.add_argument(
         "--quick", action="store_true", help="CI-sized workload (smaller, faster)"
@@ -586,14 +458,6 @@ def main(argv: list[str] | None = None) -> int:
 
     out = sys.stdout.write
     out(f"wrote {args.out}\n")
-    out(f"{'streams':>8}{'windows':>9}{'batched w/s':>13}{'naive w/s':>11}{'speedup':>9}\n")
-    for point in doc["throughput"]["points"]:
-        out(
-            f"{point['n_streams']:>8}{point['n_windows']:>9}"
-            f"{point['batched_throughput_w_per_s']:>13.1f}"
-            f"{point['naive_throughput_w_per_s']:>11.1f}"
-            f"{point['speedup']:>9.2f}\n"
-        )
     iso = doc["isolation"]
     out(
         f"isolation: {iso['n_poisoned']}/{iso['n_streams']} poisoned, "

@@ -14,8 +14,10 @@ streams inside each shard.  Quickstart::
     decisions = fleet.tick()          # {"room-12": [WindowDecision, ...]}
     print(fleet.health().state)       # "healthy" / "degraded" / "failed"
 
-``python -m repro.eval.serving`` benchmarks the batched-vs-naive
-throughput curve and proves the isolation guarantees.
+``python -m repro.eval.serving`` checks the isolation guarantees and
+the fleet's control surface; perfbench's ``serve`` workload
+(``python3 perfbench/run.py --workload serve``) is where serving
+throughput and latency are measured.
 """
 
 from repro.serving.fleet import (

@@ -187,9 +187,6 @@ class FleetServer:
         mode: ``"inline"`` (shards in this process; default) or
             ``"process"`` (one OS process per shard, shared-memory log
             transport, crash detection + reassignment).
-        batch_inference: cross-stream batched inference inside each
-            shard (True) or the naive one-predict-per-window loop
-            (False; the benchmark's comparison mode).
         windows_per_stream_per_tick: windows a lane may serve per tick.
         max_queued_windows: fleet-wide backlog watermark that arms
             load shedding.
@@ -199,8 +196,9 @@ class FleetServer:
             (queue bound, deadline, breaker thresholds, clock...).
 
     Raises:
-        ValueError: on a non-positive capacity/shard count or an
-            unknown mode.
+        ValueError: on a non-positive capacity, shard count, backlog
+            watermark, grace period or per-tick window budget, or an
+            unknown mode — checked before any worker is spawned.
     """
 
     def __init__(
@@ -209,7 +207,6 @@ class FleetServer:
         capacity: int = 256,
         n_shards: int = 1,
         mode: str = "inline",
-        batch_inference: bool = True,
         windows_per_stream_per_tick: int = 4,
         max_queued_windows: int = 1024,
         overload_grace_ticks: int = 2,
@@ -225,6 +222,8 @@ class FleetServer:
             raise ValueError("max_queued_windows must be >= 1")
         if overload_grace_ticks < 1:
             raise ValueError("overload_grace_ticks must be >= 1")
+        if windows_per_stream_per_tick < 1:
+            raise ValueError("windows_per_stream_per_tick must be >= 1")
         self.capacity = int(capacity)
         self.mode = mode
         self.max_queued_windows = int(max_queued_windows)
@@ -232,7 +231,6 @@ class FleetServer:
         self._factory = identifier_factory
         self._worker_kwargs = {
             "identifier_factory": identifier_factory,
-            "batch_inference": bool(batch_inference),
             "windows_per_stream": int(windows_per_stream_per_tick),
             "supervisor_kwargs": dict(supervisor_kwargs or {}),
         }

@@ -84,6 +84,15 @@ class StreamLane:
 class ShardServer:
     """Serves a set of lanes with cross-stream batched inference.
 
+    Pooling is the only serving mode: whenever more than one window is
+    ready in a tick, the prepare phase runs one pooled DSP batch and
+    inference runs one ``predict_proba`` per feature-shape group.  The
+    per-lane path (:meth:`_predict_singles`, per-lane prepare) remains
+    only as the fallback for suspect (non-finite) windows, breaker
+    probes, groups of one window and a failed shared call.  For clean
+    lanes the decisions equal :meth:`StreamingIdentifier.identify` run
+    on each stream's log on its own.
+
     Args:
         shard_id: index of this shard within the fleet (metrics).
         identifier_factory: zero-argument callable returning a fresh
@@ -91,10 +100,6 @@ class ShardServer:
             pipeline; called once per lane (plus once for the shard's
             batch-scoring identifier) so per-stream calibrators never
             alias.
-        batch_inference: when True (default), classifiable windows
-            from all lanes are scored through one ``predict_proba``
-            per tick; when False every window is scored through its
-            own call — the naive loop the benchmark compares against.
         windows_per_stream: max windows dequeued per lane per tick
             (bounds tick latency under backlog).
         supervisor_kwargs: forwarded to every lane's
@@ -106,7 +111,6 @@ class ShardServer:
         self,
         shard_id: int,
         identifier_factory: Callable[[], "StreamingIdentifier"],
-        batch_inference: bool = True,
         windows_per_stream: int = 4,
         supervisor_kwargs: dict | None = None,
     ) -> None:
@@ -114,7 +118,6 @@ class ShardServer:
             raise ValueError("windows_per_stream must be >= 1")
         self.shard_id = int(shard_id)
         self.identifier_factory = identifier_factory
-        self.batch_inference = bool(batch_inference)
         self.windows_per_stream = int(windows_per_stream)
         self.supervisor_kwargs = dict(supervisor_kwargs or {})
         self.lanes: dict[str, StreamLane] = {}
@@ -276,9 +279,10 @@ class ShardServer:
     ) -> list[tuple[StreamLane, PreparedWindow]]:
         """Run the prepare phase for every dequeued window.
 
-        In batched mode, windows from *clean* lanes (every breaker
-        closed, every log value finite) are featurised through ONE
-        pooled DSP batch (:meth:`StreamingIdentifier.prepare_windows`)
+        When more than one window is ready, windows from *clean* lanes
+        (every breaker closed, every log value finite) are featurised
+        through ONE pooled DSP batch
+        (:meth:`StreamingIdentifier.prepare_windows`)
         and handed to each lane via ``begin_window(precomputed=...)``.
         Suspect windows — non-finite logs, or lanes mid-breaker-probe —
         take the per-lane scalar path so the pooled eigendecomposition
@@ -287,7 +291,7 @@ class ShardServer:
         scalar path for every pooled window: slower, never lossier.
         """
         preps: list[PreparedWindow | None] = [None] * len(entries)
-        if self.batch_inference and len(entries) > 1:
+        if len(entries) > 1:
             pooled = [
                 i
                 for i, (lane, item) in enumerate(entries)
@@ -383,7 +387,7 @@ class ShardServer:
         for lane, prep in pending:
             groups[self._shape_key(prep.sample)].append((lane, prep))
         for group in groups.values():
-            if self.batch_inference and len(group) > 1:
+            if len(group) > 1:
                 self._predict_batched(group, out)
             else:
                 self._predict_singles(group, out)

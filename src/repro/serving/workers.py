@@ -121,7 +121,6 @@ class InlineShardWorker(ShardWorker):
     Args:
         shard_id: shard index (metrics).
         identifier_factory: see :class:`ShardServer`.
-        batch_inference: see :class:`ShardServer`.
         windows_per_stream: see :class:`ShardServer`.
         supervisor_kwargs: see :class:`ShardServer`.
     """
@@ -130,7 +129,6 @@ class InlineShardWorker(ShardWorker):
         self,
         shard_id: int,
         identifier_factory: Callable,
-        batch_inference: bool = True,
         windows_per_stream: int = 4,
         supervisor_kwargs: dict | None = None,
     ) -> None:
@@ -138,7 +136,6 @@ class InlineShardWorker(ShardWorker):
         self._shard = ShardServer(
             shard_id,
             identifier_factory,
-            batch_inference=batch_inference,
             windows_per_stream=windows_per_stream,
             supervisor_kwargs=supervisor_kwargs,
         )
@@ -193,7 +190,6 @@ def _worker_main(
     requests,
     responses,
     identifier_factory: Callable,
-    batch_inference: bool,
     windows_per_stream: int,
     supervisor_kwargs: dict | None,
 ) -> None:
@@ -201,7 +197,6 @@ def _worker_main(
     shard = ShardServer(
         shard_id,
         identifier_factory,
-        batch_inference=batch_inference,
         windows_per_stream=windows_per_stream,
         supervisor_kwargs=supervisor_kwargs,
     )
@@ -253,7 +248,6 @@ class ProcessShardWorker(ShardWorker):
         shard_id: shard index (metrics).
         identifier_factory: zero-argument callable building the
             shard's identifiers inside the worker process.
-        batch_inference: see :class:`ShardServer`.
         windows_per_stream: see :class:`ShardServer`.
         supervisor_kwargs: see :class:`ShardServer`.
         rpc_timeout_s: how long a single request may take before the
@@ -264,7 +258,6 @@ class ProcessShardWorker(ShardWorker):
         self,
         shard_id: int,
         identifier_factory: Callable,
-        batch_inference: bool = True,
         windows_per_stream: int = 4,
         supervisor_kwargs: dict | None = None,
         rpc_timeout_s: float = _DEFAULT_RPC_TIMEOUT_S,
@@ -283,7 +276,6 @@ class ProcessShardWorker(ShardWorker):
                 self._requests,
                 self._responses,
                 identifier_factory,
-                batch_inference,
                 windows_per_stream,
                 supervisor_kwargs,
             ),

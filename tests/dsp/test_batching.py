@@ -6,8 +6,10 @@ LAPACK kernels, same selection semantics.  Those loops live on as the
 oracles in :mod:`tests.dsp.covariance_oracle` and
 :mod:`tests.dsp.spectrum_oracle`; these tests sweep random dwell
 stacks, degraded masks and forced subspace dimensions and compare
-element-wise against them.  The single-dwell names in ``src/`` are
-batches of one of the kernels, which the last class pins byte for byte.
+element-wise against them; the MUSIC and periodogram sweeps also take
+every observed dwell of one small simulated recording.  The
+single-dwell names in ``src/`` are batches of one of the kernels,
+which the last class pins byte for byte.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.dsp import (
     STEERING_CACHE_MAXSIZE,
+    uncalibrated,
     cached_steering_matrix,
     clear_steering_cache,
     masked_pseudospectrum,
@@ -32,6 +35,7 @@ from repro.dsp import (
     steering_cache_info,
     steering_matrix,
 )
+from repro.dsp.snapshots import tag_snapshot_set
 from tests.dsp import covariance_oracle, spectrum_oracle
 
 RTOL = 1e-12
@@ -62,6 +66,32 @@ def random_dwells(seed: int, n_windows=None, n_rounds=None, n_ant=None):
     z[~valid] = 1e6 * (1.0 + 1.0j)
     wavelengths = rng.uniform(0.31, 0.34, size=w)
     return z, valid, wavelengths
+
+
+def recorded_dwells(log):
+    """Every observed dwell of a simulated recording, stacked.
+
+    The dwells carry what random stacks do not: real multipath
+    structure, hopped wavelengths and the reader's own read gaps.
+    """
+    z, valid, wavelengths = [], [], []
+    for snaps in tag_snapshot_set(log, uncalibrated(log)):
+        for f in range(snaps.n_frames):
+            if snaps.frame_valid(f):
+                z.append(snaps.z[f])
+                valid.append(snaps.valid[f])
+                wavelengths.append(float(snaps.wavelength_m[f]))
+    return np.stack(z), np.stack(valid), np.asarray(wavelengths)
+
+
+def dwells(request, source):
+    """``random_dwells(source)``, or the ``small_log`` recording's dwells."""
+    if source == "recording":
+        return recorded_dwells(request.getfixturevalue("small_log"))
+    return random_dwells(source)
+
+
+SOURCES = [*range(6), "recording"]
 
 
 class TestCovarianceStack:
@@ -127,9 +157,9 @@ def _assert_music_matches_oracle(spectra, dims, eigvals, covs, wl, **kwargs):
 
 
 class TestMusicBatch:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_scalar(self, seed):
-        z, valid, wl = random_dwells(seed)
+    @pytest.mark.parametrize("seed", SOURCES)
+    def test_matches_scalar(self, request, seed):
+        z, valid, wl = dwells(request, seed)
         covs = spatial_covariance_stack(z, valid)
         _assert_music_matches_oracle(*music_spectra_batch(covs, SPACING, wl), covs, wl)
 
@@ -224,9 +254,9 @@ class TestMaskedBatch:
 
 
 class TestPeriodogramBatch:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_scalar(self, seed):
-        z, valid, _ = random_dwells(seed)
+    @pytest.mark.parametrize("seed", SOURCES)
+    def test_matches_scalar(self, request, seed):
+        z, valid, _ = dwells(request, seed)
         batch = spatial_periodogram_batch(z, valid)
         for w in range(z.shape[0]):
             np.testing.assert_allclose(

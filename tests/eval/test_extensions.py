@@ -47,9 +47,7 @@ class TestExperimentRegistry:
             "ext-transfer",
             "ext-hub",
             "ext-augment",
-            "ext-realtime",
             "ext-robustness",
-            "ext-batching",
             "ext-resilience",
             "ext-serving",
         } == set(EXTENSIONS)

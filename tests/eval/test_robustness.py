@@ -1,6 +1,14 @@
-"""Robustness sweep harness, exercised with a stub serving path."""
+"""Fault sweep harness, exercised with a stub serving path.
+
+The one corruption protocol (:func:`fault_sweep`) is served two ways:
+through the bare identifier (robustness) and through a fresh
+supervisor per cell (resilience).  With nothing failing, both must
+count the same decisions cell for cell.
+"""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +20,8 @@ from repro.core.streaming import (
     WindowDecision,
 )
 from repro.data.generator import RawSample
-from repro.eval.robustness import RobustnessReport, robustness_sweep
+from repro.eval.resilience import resilience_sweep
+from repro.eval.robustness import RobustnessReport, fault_sweep, robustness_sweep
 from repro.hardware import ReadLog, ReaderMeta
 
 KINDS = ("dropout", "dead_port", "calibration_gap")
@@ -45,7 +54,14 @@ def make_log(n: int, seed: int) -> ReadLog:
 
 
 class StubIdentifier:
-    """One decision per log, driven only by read count and liveness."""
+    """One decision per log, driven only by read count and liveness.
+
+    A recording spans one 6 s window, so the supervisor's per-window
+    path (``identify_window``) sees the same reads as ``identify``.
+    """
+
+    window_s = 6.0
+    hop_s = None
 
     def __init__(self):
         self.calibrator = None
@@ -53,25 +69,26 @@ class StubIdentifier:
     def identify(self, log: ReadLog) -> list[WindowDecision]:
         if log.n_reads == 0:
             return []
+        return [self.identify_window(log, 0.0)]
+
+    def identify_window(self, log: ReadLog, t_start_s: float) -> WindowDecision:
+        t_end_s = t_start_s + self.window_s
         if int(log.antenna_liveness().sum()) < 2:
-            return [
-                WindowDecision(
-                    0.0, 6.0, ABSTAIN, 0.0, log.n_reads, True, REASON_DEAD_PORTS
-                )
-            ]
+            return WindowDecision(
+                t_start_s, t_end_s, ABSTAIN, 0.0, log.n_reads, True,
+                REASON_DEAD_PORTS,
+            )
         if log.n_reads < MIN_READS:
-            return [
-                WindowDecision(
-                    0.0, 6.0, ABSTAIN, 0.0, log.n_reads, True,
-                    REASON_TOO_FEW_READS,
-                )
-            ]
-        return [WindowDecision(0.0, 6.0, "act", 0.9, log.n_reads)]
+            return WindowDecision(
+                t_start_s, t_end_s, ABSTAIN, 0.0, log.n_reads, True,
+                REASON_TOO_FEW_READS,
+            )
+        return WindowDecision(t_start_s, t_end_s, "act", 0.9, log.n_reads)
 
 
 @pytest.fixture()
-def report() -> RobustnessReport:
-    samples = [
+def samples() -> list[RawSample]:
+    return [
         RawSample(
             label="act",
             log=make_log(200, seed=i),
@@ -80,6 +97,10 @@ def report() -> RobustnessReport:
         )
         for i in range(3)
     ]
+
+
+@pytest.fixture()
+def report(samples) -> RobustnessReport:
     return robustness_sweep(
         StubIdentifier(), samples, kinds=KINDS, severities=SEVERITIES, seed=0
     )
@@ -130,3 +151,51 @@ class TestRobustnessSweep:
         for kind in KINDS:
             assert kind in table
         assert "s=0.00" in table and "s=0.90" in table
+
+
+class TestFaultSweep:
+    def test_clean_pass_served_once(self, samples):
+        opened = []
+
+        def open_cell(identifier):
+            opened.append(identifier)
+            return identifier.identify
+
+        cells = fault_sweep(
+            StubIdentifier(), samples, open_cell,
+            kinds=KINDS, severities=SEVERITIES, seed=0,
+        )
+        assert len(cells) == len(KINDS) * len(SEVERITIES)
+        # One shared clean pass plus one pass per faulted cell.
+        assert len(opened) == 1 + len(KINDS) * (len(SEVERITIES) - 1)
+        clean = {id(serve) for cell, serve in cells if cell.severity == 0.0}
+        assert len(clean) == 1
+
+
+class TestSupervisedSweep:
+    @pytest.fixture()
+    def cells(self, samples):
+        return resilience_sweep(
+            StubIdentifier(), samples, kinds=KINDS, severities=SEVERITIES, seed=0
+        )
+
+    def test_full_grid_covered(self, cells):
+        assert [(c.kind, c.severity) for c in cells] == [
+            (kind, severity) for kind in KINDS for severity in SEVERITIES
+        ]
+
+    def test_zero_uncaught(self, cells):
+        assert all(c.uncaught == 0 for c in cells)
+
+    def test_clean_cells_shared(self, cells):
+        clean = [c for c in cells if c.severity == 0.0]
+        assert len(clean) == len(KINDS)
+        assert len({replace(c, kind="") for c in clean}) == 1
+
+    def test_counts_match_robustness_sweep(self, cells, report):
+        for cell in cells:
+            ref = report.cell(cell.kind, cell.severity)
+            assert (cell.n_windows, cell.decided, cell.abstained) == (
+                ref.n_windows, ref.decided, ref.abstained,
+            ), (cell.kind, cell.severity)
+            assert cell.dead_letters == cell.shed == 0

@@ -78,6 +78,18 @@ class TestAdmission:
         assert values["serving.admission.rejected_total"] == 1.0
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("mode", ["inline", "process"])
+    def test_rejects_empty_tick_budget_before_spawning(self, mode, monkeypatch):
+        spawned = []
+        monkeypatch.setattr(
+            FleetServer, "_spawn_worker", lambda self, i: spawned.append(i)
+        )
+        with pytest.raises(ValueError, match="windows_per_stream_per_tick"):
+            FleetServer(make_identifier, mode=mode, windows_per_stream_per_tick=0)
+        assert spawned == []
+
+
 class TestServing:
     def test_drain_serves_every_stream(self):
         fleet = _fleet(capacity=4, n_shards=2)

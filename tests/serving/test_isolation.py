@@ -24,9 +24,7 @@ def _decision_keys(decisions):
 
 
 def _run_fleet(poison: bool):
-    fleet = FleetServer(
-        make_factory(), capacity=N_STREAMS, n_shards=2, batch_inference=True
-    )
+    fleet = FleetServer(make_factory(), capacity=N_STREAMS, n_shards=2)
     logs = {
         f"s{i}": make_log(n=1200, seed=i, duration_s=10.0)
         for i in range(N_STREAMS)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.streaming import REASON_STAGE_FAILURE
 from repro.runtime.supervisor import HEALTH_DEGRADED, HEALTH_HEALTHY
+from repro.serving import FleetServer
 from repro.serving.shard import STAGE_BATCH_GUARD, STAGE_SHED, ShardServer
 
 from .conftest import StubPipeline, make_factory, make_log, poison_log
@@ -14,29 +15,59 @@ from .conftest import StubPipeline, make_factory, make_log, poison_log
 
 def _decisions_by_key(out):
     return {
-        (sid, round(d.t_start_s, 6)): (d.label, d.abstained, d.reason)
+        (sid, round(d.t_start_s, 6)): (
+            d.label, d.confidence, d.n_reads, d.abstained, d.reason
+        )
         for sid, ds in out.items()
         for d in ds
     }
 
 
+def _shard_decisions(factory, logs):
+    shard = ShardServer(0, factory, windows_per_stream=8)
+    for sid, log in logs.items():
+        shard.add_stream(sid)
+        shard.submit(sid, log)
+    out = {}
+    while sum(shard.queue_depths().values()):
+        for sid, ds in shard.tick().items():
+            out.setdefault(sid, []).extend(ds)
+    return out
+
+
+def _fleet_decisions(factory, logs):
+    fleet = FleetServer(
+        factory,
+        capacity=len(logs),
+        n_shards=2,
+        mode="inline",
+        windows_per_stream_per_tick=8,
+    )
+    for sid in logs:
+        fleet.admit(sid)
+    for sid, log in logs.items():
+        fleet.submit(sid, log)
+    out = fleet.drain()
+    fleet.stop()
+    return out
+
+
 class TestBatchingEquivalence:
-    def test_batched_and_naive_modes_emit_identical_decisions(self):
-        results = {}
-        for batched in (True, False):
-            shard = ShardServer(
-                0, make_factory(), batch_inference=batched, windows_per_stream=8
-            )
-            for i in range(4):
-                shard.add_stream(f"s{i}")
-                shard.submit(f"s{i}", make_log(n=1500, seed=i, duration_s=10.0))
-            out = {}
-            while sum(shard.queue_depths().values()):
-                for sid, ds in shard.tick().items():
-                    out.setdefault(sid, []).extend(ds)
-            results[batched] = _decisions_by_key(out)
-        assert results[True] == results[False]
-        assert len(results[True]) == 4 * 4  # 4 streams x 4 windows
+    @pytest.mark.parametrize(
+        "serve", [_shard_decisions, _fleet_decisions], ids=["shard", "fleet"]
+    )
+    def test_decisions_equal_identify(self, serve):
+        """Pooled serving decides exactly what per-log ``identify`` does."""
+        factory = make_factory()
+        logs = {
+            f"s{i}": make_log(n=1500, seed=i, duration_s=10.0) for i in range(4)
+        }
+        served = _decisions_by_key(serve(factory, logs))
+        reference = _decisions_by_key(
+            {sid: factory().identify(log) for sid, log in logs.items()}
+        )
+        assert served == reference
+        assert len(served) == 4 * 4  # 4 streams x 4 windows
 
     def test_batched_mode_actually_batches(self):
         from repro import obs
@@ -82,7 +113,7 @@ class TestPoisonHygiene:
 
         s0 = [v for k, v in poisoned.items() if k[0] == "s0"]
         assert s0, "poisoned stream must still emit decisions"
-        assert all(abstained for _, abstained, _ in s0)
+        assert all(abstained for *_, abstained, _ in s0)
 
     def test_poison_lands_in_own_lane_dead_letters_only(self):
         shard = ShardServer(0, make_factory(), windows_per_stream=8)
