@@ -30,7 +30,25 @@ def _conv_out_length(length: int, kernel: int, stride: int, padding: int) -> int
     return (length + 2 * padding - kernel) // stride + 1
 
 
-class ConvBranch(Module):
+class _Branch(Module):
+    """One channel's encoder: a :class:`Sequential` ``net`` ending in a feature."""
+
+    net: Sequential
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        """Forward pass (caches what :meth:`backward` needs)."""
+        return self.net.forward(x, training=training)
+
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Backprop through the cached forward pass; returns the input gradient.
+
+        ``input_grad=False`` stops at the first parameterised layer,
+        which computes only its parameter gradients, and returns None.
+        """
+        return self.net.backward(grad, input_grad=input_grad)
+
+
+class ConvBranch(_Branch):
     """CNN encoder for one wide channel: ``(B', n_tags, D) -> (B', out)``.
 
     Realises the paper's CONV-E stack: two strided convolutions over the
@@ -67,16 +85,8 @@ class ConvBranch(Module):
         layers.append(ReLU())
         self.net = Sequential(*layers)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Forward pass (caches what :meth:`backward` needs)."""
-        return self.net.forward(x, training=training)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        """Backprop through the cached forward pass; returns the input gradient."""
-        return self.net.backward(grad)
-
-
-class DenseBranch(Module):
+class DenseBranch(_Branch):
     """Dense encoder for a narrow channel: ``(B', n_tags, D) -> (B', out)``."""
 
     def __init__(
@@ -88,16 +98,8 @@ class DenseBranch(Module):
             ReLU(),
         )
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Forward pass (caches what :meth:`backward` needs)."""
-        return self.net.forward(x, training=training)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        """Backprop through the cached forward pass; returns the input gradient."""
-        return self.net.backward(grad)
-
-
-class LinearBranch(Module):
+class LinearBranch(_Branch):
     """Plain linear projection (the "LSTM only" ablation's front end)."""
 
     def __init__(
@@ -107,14 +109,6 @@ class LinearBranch(Module):
             Flatten(),
             Dense(n_tags * width, cfg.branch_dim, rng, name=f"{name}.proj"),
         )
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Forward pass (caches what :meth:`backward` needs)."""
-        return self.net.forward(x, training=training)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        """Backprop through the cached forward pass; returns the input gradient."""
-        return self.net.backward(grad)
 
 
 _CONV_MIN_WIDTH = 32
@@ -219,8 +213,17 @@ class M2AINet(Module):
                 hidden = lstm.forward(hidden, training=training)
             return self.head.forward(hidden, training=training)
 
-    def backward(self, grad: np.ndarray) -> dict[str, np.ndarray]:
-        """Backprop; returns per-channel input gradients."""
+    def backward(
+        self, grad: np.ndarray, input_grad: bool = True
+    ) -> dict[str, np.ndarray]:
+        """Backprop; returns per-channel input gradients.
+
+        With ``input_grad=False`` (what :class:`~repro.core.trainer.Trainer`
+        passes) every parameter gradient is accumulated exactly as with
+        the default, but each branch's first parameterised layer skips
+        its input gradient and the returned dict is empty.  The default
+        keeps the input gradients gradchecks compare against.
+        """
         if self._batch_frames is None:
             raise RuntimeError("backward before forward")
         batch, frames = self._batch_frames
@@ -239,10 +242,13 @@ class M2AINet(Module):
             offset = 0
             for name, branch in zip(self.channel_names, self.branches):
                 width = self.cfg.branch_dim
-                dbranch = branch.backward(dmerged[:, offset : offset + width])
+                dbranch = branch.backward(
+                    dmerged[:, offset : offset + width], input_grad=input_grad
+                )
                 offset += width
-                n_tags, dim = self.channel_shapes[name]
-                out[name] = dbranch.reshape(batch, frames, n_tags, dim)
+                if input_grad:
+                    n_tags, dim = self.channel_shapes[name]
+                    out[name] = dbranch.reshape(batch, frames, n_tags, dim)
             return out
 
     def predict_logits(self, inputs: dict[str, np.ndarray]) -> np.ndarray:
@@ -251,7 +257,14 @@ class M2AINet(Module):
         Recurrent modes skip the configured warm-up frames, where the
         LSTM state carries no history yet.
         """
-        logits = self.forward(inputs, training=False)
+        return self.sample_logits(self.forward(inputs, training=False))
+
+    def sample_logits(self, logits: np.ndarray) -> np.ndarray:
+        """Per-frame logits ``(B, T_out, C)`` -> sample logits ``(B, C)``.
+
+        The mean over frames after the warm-up: the one reduction both
+        :meth:`predict_logits` and the trainer's running accuracy use.
+        """
         start = 0
         if self.mode != "cnn":
             start = min(self.cfg.warmup_frames, logits.shape[1] - 1)

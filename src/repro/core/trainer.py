@@ -2,8 +2,14 @@
 
 Implements the paper's recipe (Section VI-A): minibatch stochastic
 optimisation of the frame-wise cross entropy (Eq. 17) with global
-gradient-norm scaling, tracking test accuracy per epoch and keeping the
-best snapshot.
+gradient-norm scaling.  When a validation set is given, its accuracy is
+measured after every epoch and the best epoch's snapshot is kept.
+
+Training computes only what is read.  The per-epoch train accuracy is a
+running count over the logits the training forward already produced, so
+it is measured in training mode: augmented inputs, dropout on, and
+weights that move from batch to batch within the epoch.  The model
+input gets no gradient (``M2AINet.backward(..., input_grad=False)``).
 """
 
 from __future__ import annotations
@@ -24,7 +30,16 @@ from repro.obs.tracing import span
 
 @dataclass
 class TrainHistory:
-    """Per-epoch training curves."""
+    """Per-epoch training curves.
+
+    ``train_accuracy[e]`` is the share of training samples that epoch
+    ``e``'s training forward classified correctly (sample logits as in
+    :meth:`M2AINet.predict_logits`).  It is measured in training mode —
+    augmented inputs, dropout on, weights moving within the epoch — so
+    it is not an eval-mode accuracy of any one snapshot.
+    ``val_accuracy[e]`` is the eval-mode accuracy on the validation set
+    after epoch ``e`` (empty without validation).
+    """
 
     loss: list[float] = field(default_factory=list)
     train_accuracy: list[float] = field(default_factory=list)
@@ -129,6 +144,7 @@ class Trainer:
                 order = self._rng.permutation(n)
                 epoch_loss = 0.0
                 batches = 0
+                correct = 0
                 with span("train.epoch", epoch=_epoch, samples=n):
                     for start in range(0, n, self.cfg.batch_size):
                         idx = order[start : start + self.cfg.batch_size]
@@ -148,15 +164,21 @@ class Trainer:
                         )
                         dlogits = np.zeros_like(logits)
                         dlogits[:, warmup_start:, :] = dsliced
+                        correct += int(
+                            np.count_nonzero(
+                                self.model.sample_logits(logits).argmax(axis=1)
+                                == label_ids[idx]
+                            )
+                        )
                         self.model.zero_grad()
-                        self.model.backward(dlogits)
+                        self.model.backward(dlogits, input_grad=False)
                         clip_grad_norm(self.model.parameters(), self.cfg.clip_norm)
                         self.optimizer.step()
                         epoch_loss += loss
                         batches += 1
                 counter("train.batches_total").inc(batches)
                 history.loss.append(epoch_loss / max(batches, 1))
-                history.train_accuracy.append(self.accuracy(inputs, label_ids))
+                history.train_accuracy.append(correct / n if n else float("nan"))
                 if val_inputs is not None and val_label_ids is not None:
                     val_acc = self.accuracy(val_inputs, val_label_ids)
                     history.val_accuracy.append(val_acc)

@@ -130,8 +130,13 @@ class Conv1d(Module):
             y[start:stop] = out.reshape(c_out, b, l_out).transpose(1, 0, 2)
         return y
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        """Backprop through the cached forward pass; returns the input gradient."""
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Backprop through the cached forward pass; returns the input gradient.
+
+        With ``input_grad=False`` only ``dW`` and ``db`` are accumulated:
+        the ``dcols`` GEMM and the col2im adds are skipped and None is
+        returned (a model input needs no gradient outside gradchecks).
+        """
         if self._x_pad is None or self._x_shape is None:
             raise RuntimeError("backward before forward")
         x_pad = self._x_pad
@@ -147,16 +152,19 @@ class Conv1d(Module):
         dw_bias = np.zeros((c_out, rows + 1), dtype=dtype)
         chunk = min(batch, CHUNK)
         col_buf = np.empty((rows + 1) * chunk * l_out, dtype=dtype)
-        # One chunk's padded input gradient, channel-major so the col2im
-        # adds run along contiguous rows.
-        dxp_buf = np.empty(channels * chunk * l_pad, dtype=dtype)
-        dx = np.empty(self._x_shape, dtype=dtype)
+        if input_grad:
+            # One chunk's padded input gradient, channel-major so the
+            # col2im adds run along contiguous rows.
+            dxp_buf = np.empty(channels * chunk * l_pad, dtype=dtype)
+            dx = np.empty(self._x_shape, dtype=dtype)
         for start in range(0, batch, chunk):
             stop = min(start + chunk, batch)
             b = stop - start
             g_mat = np.ascontiguousarray(grad[start:stop].transpose(1, 0, 2))
             g_mat = g_mat.reshape(c_out, b * l_out)
             dw_bias += g_mat @ self._im2col(x_pad[start:stop], l_out, col_buf).T
+            if not input_grad:
+                continue
             dcols = (w_mat_t @ g_mat).reshape(channels, k_taps, b, l_out)
             dxp = dxp_buf[: channels * b * l_pad].reshape(channels, b, l_pad)
             dxp.fill(0.0)
@@ -169,7 +177,7 @@ class Conv1d(Module):
             )
         self.weight.grad += dw_bias[:, :rows].reshape(w.shape)
         self.bias.grad += dw_bias[:, rows]
-        return dx
+        return dx if input_grad else None
 
 
 class MaxPool1d(Module):

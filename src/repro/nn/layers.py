@@ -32,8 +32,12 @@ class Dense(Module):
         self._x = x
         return x @ self.weight.value + self.bias.value
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        """Backprop through the cached forward pass; returns the input gradient."""
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Backprop through the cached forward pass; returns the input gradient.
+
+        With ``input_grad=False`` only ``dW`` and ``db`` are accumulated
+        and None is returned: the ``grad @ W.T`` product is skipped.
+        """
         x = self._x
         if x is None:
             raise RuntimeError("backward before forward")
@@ -41,7 +45,7 @@ class Dense(Module):
         flat_g = grad.reshape(-1, grad.shape[-1])
         self.weight.grad += flat_x.T @ flat_g
         self.bias.grad += flat_g.sum(axis=0)
-        return grad @ self.weight.value.T
+        return grad @ self.weight.value.T if input_grad else None
 
 
 class ReLU(Module):

@@ -249,8 +249,19 @@ class Sequential(Module):
             x = layer.forward(x, training=training)
         return x
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        """Backprop through the layers in reverse order."""
-        for layer in reversed(self.layers):
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Backprop through the layers in reverse order.
+
+        With ``input_grad=False`` the walk ends at the first layer that
+        has parameters, which is called with ``input_grad=False`` and
+        accumulates only its parameter gradients; the parameter-free
+        layers before it are skipped and None is returned.
+        """
+        if input_grad:
+            for layer in reversed(self.layers):
+                grad = layer.backward(grad)
+            return grad
+        first = next(i for i, layer in enumerate(self.layers) if layer.parameters())
+        for layer in reversed(self.layers[first + 1 :]):
             grad = layer.backward(grad)
-        return grad
+        return self.layers[first].backward(grad, input_grad=False)

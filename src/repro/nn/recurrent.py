@@ -195,6 +195,6 @@ class LastStep(Module):
         """Backprop through the cached forward pass; returns the input gradient."""
         if self._shape is None:
             raise RuntimeError("backward before forward")
-        dx = np.zeros(self._shape)
+        dx = np.zeros(self._shape, dtype=grad.dtype)
         dx[:, -1, :] = grad
         return dx

@@ -121,6 +121,22 @@ class TestGradients:
             rel = np.linalg.norm(grads[channel] - numeric) / denom
             assert rel < 1e-4, f"{mode}/{channel}: {rel}"
 
+    @pytest.mark.parametrize("mode", ["cnn_lstm", "cnn", "lstm"])
+    def test_input_grad_false_keeps_every_parameter_gradient(self, mode):
+        # SHAPES gives a ConvBranch and a DenseBranch ("lstm": two
+        # LinearBranches), so every first-layer kind skips its dx here.
+        net = M2AINet(SHAPES, n_classes=5, cfg=SMALL_CFG, mode=mode)
+        logits = net.forward(make_inputs(batch=3), training=True)
+        frame_labels = np.zeros(logits.shape[:2], dtype=int)
+        _loss, dlogits = softmax_cross_entropy(logits, frame_labels)
+        net.zero_grad()
+        assert set(net.backward(dlogits)) == set(SHAPES)
+        full = [p.grad.copy() for p in net.parameters()]
+        net.zero_grad()
+        assert net.backward(dlogits, input_grad=False) == {}
+        for p, grad in zip(net.parameters(), full):
+            assert np.array_equal(p.grad, grad), p.name
+
     def test_parameter_count_reasonable(self):
         net = M2AINet(SHAPES, n_classes=12, cfg=SMALL_CFG)
         assert 0 < net.n_parameters() < 500_000

@@ -64,24 +64,30 @@ class TestBitExactResume:
         # Uninterrupted 6-epoch run vs: 3-epoch run that checkpoints,
         # then a *fresh* model resumed from the checkpoint.  The final
         # parameters must be identical to the last bit.
+        # With validation, so the resumed val curve is compared too.
         cfg = dataclasses.replace(CKPT_CFG, optimizer=optimizer)
         shapes, channels, ids = make_data()
-        full_net, _, full_history = run_training(cfg, channels, ids, shapes)
+        _, val_channels, val_ids = make_data(per_class=3, seed=1)
+        val = {"val_inputs": val_channels, "val_label_ids": val_ids}
+        full_net, _, full_history = run_training(cfg, channels, ids, shapes, **val)
 
         short_cfg = dataclasses.replace(cfg, epochs=3)
         ckpt = tmp_path / "train.npz"
         _, _, short_history = run_training(
-            short_cfg, channels, ids, shapes, checkpoint_path=str(ckpt)
+            short_cfg, channels, ids, shapes, checkpoint_path=str(ckpt), **val
         )
         assert ckpt.exists()
 
         resumed_net, _, resumed_history = run_training(
-            cfg, channels, ids, shapes, resume_from=str(ckpt)
+            cfg, channels, ids, shapes, resume_from=str(ckpt), **val
         )
         for a, b in zip(full_net.get_state(), resumed_net.get_state()):
             assert np.array_equal(a, b)
         assert resumed_history.loss == full_history.loss
         assert resumed_history.loss[:3] == short_history.loss
+        assert resumed_history.train_accuracy == full_history.train_accuracy
+        assert resumed_history.val_accuracy == full_history.val_accuracy
+        assert len(resumed_history.val_accuracy) == cfg.epochs
 
     def test_checkpoint_captures_model_dropout_rngs(self, tmp_path):
         shapes, channels, ids = make_data()

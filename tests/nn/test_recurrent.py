@@ -80,6 +80,13 @@ class TestLastStep:
         assert grad[:, :-1].sum() == 0.0
         np.testing.assert_allclose(grad[:, -1, :], 1.0)
 
+    def test_float32_backward_stays_float32(self):
+        layer = LastStep()
+        x = RNG.normal(size=(2, 5, 3)).astype(np.float32)
+        out = layer(x)
+        assert out.dtype == np.float32
+        assert layer.backward(np.ones_like(out)).dtype == np.float32
+
 
 class TestLearnability:
     def test_learns_temporal_order(self):
