@@ -518,7 +518,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--profile",
         choices=sorted(PROFILES),
         default="default",
-        help="rule profile (drivers: scripts/benchmarks, allows prints)",
+        help="rule profile (drivers: scripts/examples, allows prints)",
     )
     parser.add_argument(
         "--jobs",

@@ -485,17 +485,17 @@ class AllExportsRule(LintRule):
 class NoPrintRule(LintRule):
     """RPR007: no ``print`` in library code.
 
-    ``scripts/``, ``examples/`` and ``benchmarks/`` own the terminal;
+    ``scripts/`` and ``examples/`` own the terminal;
     library modules must stay silent so services embedding them control
     their own logging.
     """
 
     code = "RPR007"
     name = "no-print"
-    description = "print() in library code; reserve stdout for scripts/, examples/, benchmarks/"
+    description = "print() in library code; reserve stdout for scripts/ and examples/"
     hint = "return the value, raise, or leave reporting to the calling script"
 
-    _ALLOWED_PARTS = frozenset({"scripts", "examples", "benchmarks"})
+    _ALLOWED_PARTS = frozenset({"scripts", "examples"})
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         """Yield findings for one file."""
@@ -603,7 +603,7 @@ class PublicDocstringRule(LintRule):
     description = "public module-level and class-level functions/classes need docstrings"
     hint = "add a docstring (summary line at minimum); docs/API.md is generated from it"
 
-    _EXEMPT_PARTS = frozenset({"tests", "scripts", "examples", "benchmarks"})
+    _EXEMPT_PARTS = frozenset({"tests", "scripts", "examples"})
     _EXEMPT_DECORATORS = frozenset({"setter", "deleter"})
 
     def _is_exempt_accessor(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:

@@ -1,8 +1,10 @@
 """Workload presets: quick (CI-sized) and full (paper-scale) configs.
 
-Every experiment driver in :mod:`repro.eval` accepts one of these; the
-quick presets keep the whole benchmark suite runnable in minutes on a
-laptop while preserving every qualitative trend.
+The figure drivers in :mod:`repro.eval` (Fig. 9-17, Table I) and the
+augmentation ablation build their corpus and training configs from
+these presets, so each mode has exactly one definition.  The quick
+presets keep a full ``scripts/run_experiments.py`` pass within minutes
+on a laptop.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from repro.eval.extensions import (
     EXTENSIONS,
     run_ext_augmentation,
     run_ext_hub_coverage,
-    run_ext_transfer,
 )
 from repro.eval.reporting import ExperimentResult, ExperimentRow, bar_chart
 from repro.eval.resilience import (
@@ -75,7 +74,6 @@ __all__ = [
     "run_ext_resilience",
     "run_ext_robustness",
     "run_ext_serving",
-    "run_ext_transfer",
     "run_fig02",
     "run_fig03",
     "run_fig09",

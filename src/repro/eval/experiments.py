@@ -17,6 +17,12 @@ import numpy as np
 
 from repro.core.config import M2AIConfig
 from repro.data.generator import GenerationConfig, vary
+from repro.data.workloads import (
+    full_generation,
+    full_training,
+    quick_generation,
+    quick_training,
+)
 from repro.dsp.features import (
     FftOnlyFeaturizer,
     M2AIFeaturizer,
@@ -25,7 +31,6 @@ from repro.dsp.features import (
     RssiFeaturizer,
 )
 from repro.eval.harness import (
-    epoch_budget,
     eval_baselines,
     get_dataset,
     get_raw_samples,
@@ -35,17 +40,12 @@ from repro.eval.reporting import ExperimentResult, ExperimentRow
 
 
 def _gen_config(quick: bool, seed: int, **overrides) -> GenerationConfig:
-    base = GenerationConfig(
-        samples_per_class=12 if quick else 24,
-        duration_s=6.0,
-        calibration_s=20.0,
-        seed=seed,
-    )
+    base = quick_generation(seed) if quick else full_generation(seed)
     return vary(base, **overrides)
 
 
 def _train_config(quick: bool, seed: int) -> M2AIConfig:
-    return M2AIConfig(epochs=epoch_budget(40 if quick else 60), batch_size=16, seed=seed)
+    return quick_training(seed) if quick else full_training(seed)
 
 
 def _sweep_config(quick: bool, seed: int, **overrides) -> GenerationConfig:

@@ -2,12 +2,13 @@
 
 The paper closes with two deployment questions it leaves open: how the
 model behaves *across* environments (it expects retraining to be
-needed) and how coverage scales with antenna hubs.  These drivers
-quantify both on the simulator, plus an engineering ablation the
-design section calls out and the runtime studies (robustness,
-resilience, fleet serving), which check behaviour, not speed —
-perfbench (``perfbench/run.py``) is the one place the repo times
-itself.
+needed) and how coverage scales with antenna hubs.  The first is the
+domain-shift workload (:mod:`repro.experiments.domain_shift`); the
+hub-coverage driver here answers the second.  Alongside it sit an
+engineering ablation the design section calls out and the runtime
+studies (robustness, resilience, fleet serving), which check
+behaviour, not speed — perfbench (``perfbench/run.py``) is the one
+place the repo times itself.
 """
 
 from __future__ import annotations
@@ -15,72 +16,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import M2AIConfig
-from repro.core.pipeline import M2AIPipeline
-from repro.data.generator import GenerationConfig, vary
-from repro.eval.harness import epoch_budget, get_dataset, train_eval_m2ai
+from repro.data.generator import GenerationConfig
+from repro.data.workloads import full_training, quick_training
+from repro.eval.harness import get_dataset, train_eval_m2ai
 from repro.eval.reporting import ExperimentResult, ExperimentRow
 from repro.eval.resilience import run_ext_resilience
 from repro.eval.serving import run_ext_serving
 from repro.eval.robustness import run_ext_robustness
 
 
-def _training(quick: bool, seed: int, floor: int = 0) -> M2AIConfig:
-    return M2AIConfig(
-        epochs=epoch_budget(40 if quick else 60, floor=floor), batch_size=16, seed=seed
-    )
-
-
-def _cfg(quick: bool, seed: int, **overrides) -> GenerationConfig:
-    base = GenerationConfig(
-        samples_per_class=8 if quick else 18,
-        duration_s=6.0,
-        calibration_s=20.0,
-        seed=seed,
-    )
-    return vary(base, **overrides)
-
-
-def run_ext_transfer(quick: bool = True, seed: int = 0) -> ExperimentResult:
-    """Cross-environment transfer (Section VII, first discussion).
-
-    Train in the laboratory, evaluate (a) in-domain, (b) zero-shot in
-    the hall, (c) in the hall after a short fine-tuning pass on a
-    handful of hall samples.  The paper predicts (b) << (a) — "the
-    model may need to be re-trained for different settings" — and (c)
-    recovering most of the gap.
-    """
-    lab = get_dataset(_cfg(quick, seed, environment="laboratory"))
-    hall = get_dataset(_cfg(quick, seed, environment="hall"))
-    # Transfer effects only show once the source model is competent;
-    # this driver keeps a training floor even under the benchmark
-    # suite's trimmed budget (it is only two fits).
-    training = _training(quick, seed, floor=30)
-
-    rng = np.random.default_rng(seed)
-    lab_train, lab_test = lab.split(0.2, rng)
-    pipeline = M2AIPipeline(training).fit(lab_train, val=lab_test)
-    in_domain = pipeline.evaluate(lab_test).accuracy
-
-    hall_adapt, hall_test = hall.split(0.5, np.random.default_rng(seed + 1))
-    zero_shot = pipeline.evaluate(hall_test).accuracy
-    pipeline.fine_tune(hall_adapt, epochs=15 if quick else 25)
-    adapted = pipeline.evaluate(hall_test).accuracy
-
-    return ExperimentResult(
-        experiment_id="ext-transfer",
-        title="Cross-environment transfer (Section VII)",
-        rows=[
-            ExperimentRow("lab -> lab (in-domain)", None, in_domain),
-            ExperimentRow("lab -> hall (zero-shot)", None, zero_shot),
-            ExperimentRow("lab -> hall (fine-tuned)", None, adapted),
-        ],
-        notes=(
-            "Paper's expectation: the trained model is environment-"
-            "specific, so zero-shot transfer degrades and a short "
-            "retraining pass recovers accuracy. "
-            f"Measured: {in_domain:.2f} -> {zero_shot:.2f} -> {adapted:.2f}."
-        ),
-    )
+def _training(quick: bool, seed: int) -> M2AIConfig:
+    return quick_training(seed) if quick else full_training(seed)
 
 
 def run_ext_hub_coverage(quick: bool = True, seed: int = 0) -> ExperimentResult:
@@ -128,7 +74,14 @@ def run_ext_augmentation(quick: bool = True, seed: int = 0) -> ExperimentResult:
     """Ablation: training-time augmentation on vs off."""
     from dataclasses import replace
 
-    dataset = get_dataset(_cfg(quick, seed))
+    dataset = get_dataset(
+        GenerationConfig(
+            samples_per_class=8 if quick else 18,
+            duration_s=6.0,
+            calibration_s=20.0,
+            seed=seed,
+        )
+    )
     base = _training(quick, seed)
     with_aug, _ = train_eval_m2ai(
         dataset, replace(base, augment=True), split_seed=seed
@@ -148,7 +101,6 @@ def run_ext_augmentation(quick: bool = True, seed: int = 0) -> ExperimentResult:
 
 
 EXTENSIONS = {
-    "ext-transfer": run_ext_transfer,
     "ext-hub": run_ext_hub_coverage,
     "ext-augment": run_ext_augmentation,
     "ext-robustness": run_ext_robustness,

@@ -65,9 +65,9 @@ def _cache_key(config: GenerationConfig) -> str:
 def get_raw_samples(config: GenerationConfig) -> list[RawSample]:
     """Simulated recordings for a config, memoised in process and on disk.
 
-    The disk cache lets the benchmark suite reuse corpora generated by
-    an earlier experiments run instead of re-simulating tens of minutes
-    of RF inventory.
+    The disk cache lets a later experiments run (or a worker process of
+    the same run) reuse corpora instead of re-simulating tens of
+    minutes of RF inventory.
     """
     import pickle
 
@@ -81,8 +81,8 @@ def get_raw_samples(config: GenerationConfig) -> list[RawSample]:
     else:
         samples = SyntheticDatasetGenerator(config).generate_raw()
         if path is not None:
-            # Atomic publish: concurrent writers (experiments script and
-            # benchmark suite sharing the cache) must never expose a
+            # Atomic publish: concurrent writers (parallel experiment
+            # workers sharing the cache) must never expose a
             # half-written pickle.
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_suffix(f".tmp-{id(samples)}")
@@ -194,25 +194,9 @@ def train_eval_m2ai(
     return result
 
 
-def epoch_budget(epochs: int, floor: int = 0) -> int:
-    """A driver's training epochs under the benchmark budget trim.
-
-    ``REPRO_BENCH_EPOCHS`` (set by ``benchmarks/conftest.py``) caps the
-    budget so a full benchmark pass stays within minutes; the recorded
-    EXPERIMENTS.md run leaves it unset.  Drivers whose result needs a
-    competent model pass a ``floor`` that the trim never goes below.
-    """
-    import os
-
-    override = os.environ.get("REPRO_BENCH_EPOCHS")
-    if override:
-        epochs = max(floor, min(epochs, int(override)))
-    return epochs
-
-
 def runtime_training(quick: bool, seed: int) -> M2AIConfig:
     """The compact training config of the runtime studies."""
-    return M2AIConfig(epochs=epoch_budget(25 if quick else 45), batch_size=8, seed=seed)
+    return M2AIConfig(epochs=25 if quick else 45, batch_size=8, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,9 @@ Run as a module to produce the benchmark artifact::
 which writes ``BENCH_ext_resilience.json``.  The contract asserted by
 the artifact: the *entire* sweep completes with zero uncaught
 exceptions — every failed window degrades to an abstain decision and
-a dead letter.
+a dead letter — clean (severity 0) serving decides every window, the
+transport study delivers at least one window, and the breaker
+completes its cycle.
 """
 
 from __future__ import annotations
@@ -303,6 +305,39 @@ def breaker_cycle_study(
     }
 
 
+def _check_contract(
+    cells: list[ResilienceCell], transport: dict, breaker: dict
+) -> None:
+    """Raise unless a resilience run kept the supervision contract.
+
+    Raises:
+        RuntimeError: an exception escaped the supervisor; a severity-0
+            cell left a window undecided; the transport study delivered
+            no window; or the breaker did not complete a
+            closed→open→half-open→closed cycle.
+    """
+    uncaught = sum(c.uncaught for c in cells) + transport["uncaught_exceptions"]
+    if uncaught:
+        raise RuntimeError(
+            f"supervision contract violated: {uncaught} uncaught exception(s)"
+        )
+    undecided = [
+        c.kind for c in cells if c.severity == 0.0 and c.decided != c.n_windows
+    ]
+    if undecided:
+        raise RuntimeError(
+            f"clean serving left windows undecided for: {', '.join(undecided)}"
+        )
+    if transport["windows_delivered"] == 0:
+        raise RuntimeError(
+            f"transport at severity {transport['severity']} delivered no window"
+        )
+    if not breaker["full_cycle_observed"]:
+        raise RuntimeError(
+            "breaker did not complete a closed→open→half-open→closed cycle"
+        )
+
+
 def run_resilience_bench(quick: bool = True, seed: int = 0) -> dict:
     """Build the workload and produce the full benchmark document.
 
@@ -314,9 +349,9 @@ def run_resilience_bench(quick: bool = True, seed: int = 0) -> dict:
     counts).
 
     Raises:
-        RuntimeError: when the sweep saw an uncaught exception or the
-            breaker cycle did not complete — the artifact must not be
-            written from a run that violated the supervision contract.
+        RuntimeError: when the run violated the supervision contract
+            (see the module docstring) — the artifact must not be
+            written from such a run.
     """
     from repro import obs
     from repro.core.pipeline import M2AIPipeline
@@ -348,15 +383,7 @@ def run_resilience_bench(quick: bool = True, seed: int = 0) -> dict:
     finally:
         obs.disable()
 
-    uncaught = sum(c.uncaught for c in cells) + transport["uncaught_exceptions"]
-    if uncaught:
-        raise RuntimeError(
-            f"supervision contract violated: {uncaught} uncaught exception(s)"
-        )
-    if not breaker["full_cycle_observed"]:
-        raise RuntimeError(
-            "breaker did not complete a closed→open→half-open→closed cycle"
-        )
+    _check_contract(cells, transport, breaker)
 
     cell_docs = []
     for c in cells:

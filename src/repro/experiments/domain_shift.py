@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.config import M2AIConfig
 from repro.core.pipeline import M2AIPipeline
 from repro.data.generator import GenerationConfig, vary
-from repro.eval.harness import epoch_budget, get_dataset
+from repro.eval.harness import get_dataset
 from repro.eval.reporting import ExperimentResult, ExperimentRow
 from repro.experiments.metrics import aggregate_records
 from repro.experiments.runner import register_runner, run_batch
@@ -71,10 +71,7 @@ def _gen_config(quick: bool, seed: int, **overrides) -> GenerationConfig:
 
 
 def _train_config(quick: bool, seed: int) -> M2AIConfig:
-    # Transfer effects need a competent source model, so the benchmark
-    # budget trim keeps a floor (cf. the ext-transfer driver).
-    epochs = epoch_budget(30 if quick else 50, floor=20)
-    return M2AIConfig(epochs=epochs, batch_size=16, seed=seed)
+    return M2AIConfig(epochs=30 if quick else 50, batch_size=16, seed=seed)
 
 
 def k_shot_subset(dataset, k: int, seed: int):

@@ -235,7 +235,7 @@ def test_jobs_output_is_deterministic(tmp_path):
 
 
 def test_drivers_profile_relaxes_print_and_docstrings(tmp_path):
-    # A dir outside the path-exempt scripts/examples/benchmarks set, so
+    # A dir outside the path-exempt scripts/examples set, so
     # only the profile (not RPR007's own path carve-out) is in play.
     pkg = tmp_path / "tools"
     pkg.mkdir()

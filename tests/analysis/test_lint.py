@@ -256,11 +256,12 @@ def test_non_init_file_exempt_from_all_rule():
     assert codes(lint_source(src, path="pkg/helpers.py")) == []
 
 
-def test_print_allowed_in_scripts_examples_benchmarks():
+def test_print_allowed_in_scripts_and_examples():
     src = 'print("hello")\n'
-    for prefix in ("scripts", "examples", "benchmarks"):
+    for prefix in ("scripts", "examples"):
         assert codes(lint_source(src, path=f"{prefix}/tool.py")) == []
-    assert codes(lint_source(src, path="src/repro/x.py")) == ["RPR007"]
+    for path in ("src/repro/x.py", "benchmarks/tool.py"):
+        assert codes(lint_source(src, path=path)) == ["RPR007"]
 
 
 def test_docstring_rule_exempts_nested_and_private():
@@ -323,7 +324,7 @@ def test_pool_via_dummy_and_alias_flagged():
 
 def test_docstring_rule_skips_tests_and_scripts():
     src = "def test_something():\n    assert True\n"
-    for prefix in ("tests", "scripts", "examples", "benchmarks"):
+    for prefix in ("tests", "scripts", "examples"):
         assert codes(lint_source(src, path=f"{prefix}/t.py")) == []
 
 

@@ -1,5 +1,6 @@
-"""Extension drivers (fast ones; the learning-heavy drivers are
-exercised by the benchmark suite)."""
+"""Extension drivers (fast ones; the learning-heavy drivers run through
+``scripts/run_experiments.py``, and the resilience, serving and
+domain-shift benches enforce their contracts when run as modules)."""
 
 from __future__ import annotations
 
@@ -44,7 +45,6 @@ class TestExperimentRegistry:
         from repro.eval import EXTENSIONS
 
         assert {
-            "ext-transfer",
             "ext-hub",
             "ext-augment",
             "ext-robustness",

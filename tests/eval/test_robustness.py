@@ -20,7 +20,7 @@ from repro.core.streaming import (
     WindowDecision,
 )
 from repro.data.generator import RawSample
-from repro.eval.resilience import resilience_sweep
+from repro.eval.resilience import _check_contract, resilience_sweep
 from repro.eval.robustness import RobustnessReport, fault_sweep, robustness_sweep
 from repro.hardware import ReadLog, ReaderMeta
 
@@ -172,13 +172,14 @@ class TestFaultSweep:
         assert len(clean) == 1
 
 
-class TestSupervisedSweep:
-    @pytest.fixture()
-    def cells(self, samples):
-        return resilience_sweep(
-            StubIdentifier(), samples, kinds=KINDS, severities=SEVERITIES, seed=0
-        )
+@pytest.fixture()
+def cells(samples):
+    return resilience_sweep(
+        StubIdentifier(), samples, kinds=KINDS, severities=SEVERITIES, seed=0
+    )
 
+
+class TestSupervisedSweep:
     def test_full_grid_covered(self, cells):
         assert [(c.kind, c.severity) for c in cells] == [
             (kind, severity) for kind in KINDS for severity in SEVERITIES
@@ -199,3 +200,38 @@ class TestSupervisedSweep:
                 ref.n_windows, ref.decided, ref.abstained,
             ), (cell.kind, cell.severity)
             assert cell.dead_letters == cell.shed == 0
+
+
+class TestResilienceContract:
+    """The checks ``run_resilience_bench`` raises on before writing."""
+
+    TRANSPORT = {"severity": 0.9, "windows_delivered": 9, "uncaught_exceptions": 0}
+    BREAKER = {"full_cycle_observed": True}
+
+    def test_healthy_run_passes(self, cells):
+        _check_contract(cells, self.TRANSPORT, self.BREAKER)
+
+    def test_uncaught_exception_raises(self, cells):
+        cells[-1] = replace(cells[-1], uncaught=1)
+        with pytest.raises(RuntimeError, match="uncaught"):
+            _check_contract(cells, self.TRANSPORT, self.BREAKER)
+
+    def test_undecided_clean_window_raises(self, cells):
+        i = next(i for i, c in enumerate(cells) if c.severity == 0.0)
+        cells[i] = replace(cells[i], decided=cells[i].n_windows - 1)
+        with pytest.raises(RuntimeError, match=cells[i].kind):
+            _check_contract(cells, self.TRANSPORT, self.BREAKER)
+
+    def test_undecided_faulted_window_is_allowed(self, cells):
+        i = next(i for i, c in enumerate(cells) if c.severity > 0.0)
+        cells[i] = replace(cells[i], decided=0)
+        _check_contract(cells, self.TRANSPORT, self.BREAKER)
+
+    def test_nothing_delivered_raises(self, cells):
+        transport = {**self.TRANSPORT, "windows_delivered": 0}
+        with pytest.raises(RuntimeError, match="delivered no window"):
+            _check_contract(cells, transport, self.BREAKER)
+
+    def test_incomplete_breaker_cycle_raises(self, cells):
+        with pytest.raises(RuntimeError, match="breaker"):
+            _check_contract(cells, self.TRANSPORT, {"full_cycle_observed": False})

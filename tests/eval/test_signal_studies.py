@@ -20,11 +20,11 @@ def fig03_result():
 class TestFig02:
     def test_stationary_spectrum_stable(self, fig02_result):
         measured = fig02_result.measured_by_name()
-        assert measured["stationary: top-peak angle std (deg)"] < 15.0
+        assert measured["stationary: top-peak angle std (deg)"] < 10.0
 
     def test_blocker_reshapes_spectrum(self, fig02_result):
         measured = fig02_result.measured_by_name()
-        assert measured["moving blocker: peak power swing (dB)"] > 1.0
+        assert measured["moving blocker: peak power swing (dB)"] > 3.0
 
     def test_renderable(self, fig02_result):
         text = fig02_result.render()
