@@ -410,7 +410,11 @@ class AllExportsRule(LintRule):
 
     ``test_public_api`` walks ``__all__``; a name listed but unbound
     breaks `from repro.x import *`, while a public binding missing from
-    ``__all__`` is an undocumented API users cannot discover.
+    ``__all__`` is an undocumented API users cannot discover.  A package
+    with a module-level ``__getattr__`` (PEP 562) binds names on first
+    access; there a name also counts as bound when it appears as a
+    string literal outside ``__all__`` (its lookup table), so a
+    misspelt ``__all__`` entry is still flagged.
     """
 
     code = "RPR005"
@@ -466,6 +470,17 @@ class AllExportsRule(LintRule):
             yield self.finding(ctx, all_node, "__all__ must be a literal list of strings")
             return
         exported = [e.value for e in all_node.value.elts]
+        if any(isinstance(n, ast.FunctionDef) and n.name == "__getattr__" for n in ctx.tree.body):
+            # PEP 562: the string literals outside __all__ are the lookup table.
+            bound = bound | {
+                leaf.value
+                for node in ctx.tree.body
+                if node is not all_node
+                for leaf in ast.walk(node)
+                if isinstance(leaf, ast.Constant)
+                and isinstance(leaf.value, str)
+                and leaf.value.isidentifier()
+            }
         for name in exported:
             if name not in bound:
                 yield self.finding(

@@ -114,8 +114,15 @@ class MultipathChannel:
     ) -> list[PathComponent]:
         """Enumerate every resolved path between antenna and tag.
 
-        Every path leg goes into one table first; :meth:`_blockage` then
-        evaluates the whole table against each blocker in turn.
+        Two steps.  The geometry step (:meth:`_geometry`) gives each
+        path's length and its amplitude times blockage; both depend
+        only on positions.  The phase step multiplies in
+        ``exp(-2j*pi*d/lambda)`` per slot.  In a stationary scene (a
+        ``(2,)`` tag and only one-position body tracks) the geometry
+        depends on the antenna row alone, so it runs once per distinct
+        antenna row and is indexed back to the slots; a TDM inventory
+        has one row per array element.  Every other scene runs it per
+        slot.  Both give the same bytes.
 
         Args:
             antenna: antenna position, ``(2,)`` or per-step ``(T, 2)``.
@@ -134,11 +141,42 @@ class MultipathChannel:
         """
         steps = self._steps(antenna, tag, bodies)
         ant = as_traj(np.asarray(antenna, dtype=np.float64), steps)
-        tag_t = as_traj(np.asarray(tag, dtype=np.float64), steps)
+        tag = np.asarray(tag, dtype=np.float64)
         lam = np.broadcast_to(np.asarray(wavelength, dtype=np.float64), (steps,))
+        if tag.shape == (2,) and all(b.steps == 1 for b in bodies):
+            rows, inverse = np.unique(ant, axis=0, return_inverse=True)
+            inverse = inverse.ravel()
+            geometry = [
+                (name, d[inverse], amp[inverse])
+                for name, d, amp in self._geometry(
+                    rows, as_traj(tag, len(rows)), bodies, carrier
+                )
+            ]
+        else:
+            geometry = self._geometry(ant, as_traj(tag, steps), bodies, carrier)
+        return [
+            PathComponent(name, d, amp * np.exp(-2j * np.pi * d / lam))
+            for name, d, amp in geometry
+        ]
+
+    def _geometry(
+        self,
+        ant: np.ndarray,
+        tag_t: np.ndarray,
+        bodies: tuple[BodyTrack, ...],
+        carrier: int | None,
+    ) -> list[tuple[str, np.ndarray, np.ndarray]]:
+        """``(name, distance, amplitude * blockage)`` per path, ``(S,)`` each.
+
+        ``ant`` and ``tag_t`` are ``(S, 2)`` trajectories; every body
+        track has ``S`` positions or one.  Every path leg goes into one
+        table first; :meth:`_blockage` then evaluates the whole table
+        against each blocker in turn.
+        """
+        steps = ant.shape[0]
         centres = [b.positions[0] if b.steps == 1 else b.positions for b in bodies]
         amp0 = self.params.reference_amplitude
-        # Every straight leg as a (start, end) pair of (T, 2) trajectories.
+        # Every straight leg as a (start, end) pair of (S, 2) trajectories.
         legs: list[tuple[np.ndarray, np.ndarray]] = []
 
         def leg(start: np.ndarray, end: np.ndarray) -> int:
@@ -198,12 +236,11 @@ class MultipathChannel:
             paths.append((name, d1 + d2, amp, (leg(ant, pos), leg(pos, tag_t))))
 
         factor = self._blockage(legs, bodies, centres)
-        components: list[PathComponent] = []
+        geometry = []
         for name, d, amp, rows in paths:
             block = factor[rows[0]] if len(rows) == 1 else factor[rows[0]] * factor[rows[1]]
-            gain = amp * block * np.exp(-2j * np.pi * d / lam)
-            components.append(PathComponent(name, d, gain))
-        return components
+            geometry.append((name, d, amp * block))
+        return geometry
 
     def one_way_gain(
         self,

@@ -30,8 +30,6 @@ from repro.geometry.vec import Vec2
 from repro.hardware.antenna import DEFAULT_SPACING_M, UniformLinearArray
 from repro.hardware.llrp import ReadLog
 from repro.hardware.reader import Reader, ReaderConfig
-from repro.hardware.scene import Scene, TagTrack
-from repro.channel.model import BodyTrack
 from repro.motion.scenarios import SCENARIO_LABELS, SCENARIOS, build_instance
 
 ENVIRONMENTS = ("laboratory", "hall")
@@ -173,10 +171,7 @@ class SyntheticDatasetGenerator:
             tags_per_person=cfg.tags_per_person,
             distance_m=cfg.distance_m,
         )
-        cal_scene = self._calibration_scene(
-            instance.scene, int(round(cfg.calibration_s / reader.config.slot_s))
-        )
-        cal_log = reader.inventory(cal_scene, cfg.calibration_s)
+        cal_log = reader.inventory(instance.scene.frozen(), cfg.calibration_s)
         log = reader.inventory(instance.scene, cfg.duration_s)
         n_frames = int(round(cfg.duration_s / reader.hopper.dwell_s))
         return RawSample(
@@ -185,25 +180,6 @@ class SyntheticDatasetGenerator:
             calibration_log=cal_log,
             n_frames=max(n_frames, 1),
         )
-
-    @staticmethod
-    def _calibration_scene(scene: Scene, n_slots: int) -> Scene:
-        """Everyone holds still at their starting pose."""
-        tracks = []
-        for track in scene.tag_tracks:
-            pos = track.positions
-            start = pos[0] if pos.ndim == 2 else pos
-            tracks.append(
-                TagTrack(tag=track.tag, positions=np.asarray(start), carrier=track.carrier)
-            )
-        bodies = tuple(
-            BodyTrack(
-                positions=np.tile(body.positions[0], (n_slots, 1)),
-                radius=body.radius,
-            )
-            for body in scene.bodies
-        )
-        return Scene(tag_tracks=tuple(tracks), bodies=bodies)
 
 
 def vary(config: GenerationConfig, **overrides) -> GenerationConfig:

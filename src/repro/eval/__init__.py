@@ -1,54 +1,74 @@
-"""Experiment drivers reproducing every paper table and figure."""
+"""Experiment drivers reproducing every paper table and figure.
 
-from repro.eval.experiments import (
-    EXPERIMENTS,
-    run_fig09,
-    run_fig10,
-    run_fig11,
-    run_fig12,
-    run_fig13,
-    run_fig14,
-    run_fig15,
-    run_fig16,
-    run_fig17,
-    run_table1,
-)
-from repro.eval.harness import (
-    baseline_zoo,
-    clear_cache,
-    eval_baselines,
-    get_dataset,
-    get_raw_samples,
-    train_eval_m2ai,
-)
-from repro.eval.extensions import (
-    EXTENSIONS,
-    run_ext_augmentation,
-    run_ext_hub_coverage,
-)
-from repro.eval.reporting import ExperimentResult, ExperimentRow, bar_chart
-from repro.eval.resilience import (
-    ResilienceCell,
-    resilience_sweep,
-    run_ext_resilience,
-    run_resilience_bench,
-)
-from repro.eval.robustness import (
-    RobustnessCell,
-    RobustnessReport,
-    robustness_sweep,
-    run_ext_robustness,
-)
-from repro.eval.serving import run_ext_serving, run_serving_bench
-from repro.eval.signal_studies import run_fig02, run_fig03
+Every exported name resolves on first access (PEP 562), so importing
+the package runs no driver module.  ``python -m repro.eval.serving``
+and ``python -m repro.eval.resilience`` therefore load their module
+once, as ``__main__``, instead of a second time through this package.
+"""
 
-ALL_EXPERIMENTS = {
-    "fig02": run_fig02,
-    "fig03": run_fig03,
-    **EXPERIMENTS,
-    **EXTENSIONS,
+from __future__ import annotations
+
+_HOMES = {
+    "experiments": (
+        "EXPERIMENTS",
+        "run_fig09",
+        "run_fig10",
+        "run_fig11",
+        "run_fig12",
+        "run_fig13",
+        "run_fig14",
+        "run_fig15",
+        "run_fig16",
+        "run_fig17",
+        "run_table1",
+    ),
+    "harness": (
+        "baseline_zoo",
+        "clear_cache",
+        "eval_baselines",
+        "get_dataset",
+        "get_raw_samples",
+        "train_eval_m2ai",
+    ),
+    "extensions": ("EXTENSIONS", "run_ext_augmentation", "run_ext_hub_coverage"),
+    "reporting": ("ExperimentResult", "ExperimentRow", "bar_chart"),
+    "resilience": (
+        "ResilienceCell",
+        "resilience_sweep",
+        "run_ext_resilience",
+        "run_resilience_bench",
+    ),
+    "robustness": (
+        "RobustnessCell",
+        "RobustnessReport",
+        "robustness_sweep",
+        "run_ext_robustness",
+    ),
+    "serving": ("run_ext_serving", "run_serving_bench"),
+    "signal_studies": ("run_fig02", "run_fig03"),
 }
-"""Every experiment driver (paper figures + Section VII extensions)."""
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import the module that defines ``name`` and cache the value here."""
+    from importlib import import_module
+
+    if name == "ALL_EXPERIMENTS":
+        # Every experiment driver (paper figures + Section VII extensions).
+        value = {
+            "fig02": __getattr__("run_fig02"),
+            "fig03": __getattr__("run_fig03"),
+            **__getattr__("EXPERIMENTS"),
+            **__getattr__("EXTENSIONS"),
+        }
+    elif name in _HOME_OF:
+        value = getattr(import_module(f"{__name__}.{_HOME_OF[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "ALL_EXPERIMENTS",

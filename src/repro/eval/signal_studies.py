@@ -29,25 +29,11 @@ from repro.channel.model import BodyTrack
 
 def _spectra_for_tag(reader: Reader, scene: Scene, duration_s: float, tag: int = 0):
     """Calibrate against the scene frozen at t=0, then frame spectra."""
-    cal_scene = _freeze(scene, int(round(20.0 / reader.config.slot_s)))
-    cal_log = reader.inventory(cal_scene, 20.0)
+    cal_log = reader.inventory(scene.frozen(), 20.0)
     calibrator = PhaseCalibrator.fit(cal_log)
     log = reader.inventory(scene, duration_s)
     psi = calibrator.calibrate(log)
     return tag_music_spectra(log, psi, tag)
-
-
-def _freeze(scene: Scene, n_slots: int) -> Scene:
-    tracks = []
-    for track in scene.tag_tracks:
-        pos = track.positions
-        start = pos[0] if pos.ndim == 2 else pos
-        tracks.append(TagTrack(tag=track.tag, positions=np.asarray(start), carrier=track.carrier))
-    bodies = tuple(
-        BodyTrack(positions=np.tile(b.positions[0], (n_slots, 1)), radius=b.radius)
-        for b in scene.bodies
-    )
-    return Scene(tag_tracks=tuple(tracks), bodies=bodies)
 
 
 def run_fig02(quick: bool = True, seed: int = 0) -> ExperimentResult:

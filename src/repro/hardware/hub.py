@@ -21,7 +21,7 @@ from repro.geometry.room import Room
 from repro.hardware.antenna import UniformLinearArray
 from repro.hardware.llrp import ReadLog
 from repro.hardware.reader import Reader, ReaderConfig
-from repro.hardware.scene import Scene, TagTrack
+from repro.hardware.scene import Scene
 from repro.obs.metrics import counter
 from repro.obs.tracing import span
 from repro.runtime.retry import RetryPolicy
@@ -101,7 +101,7 @@ class AntennaHub:
 
     def calibration_inventory(self, scene: Scene, duration_s: float = 20.0) -> list[ReadLog]:
         """Stationary bootstrap per member array."""
-        frozen = _freeze_scene(scene, int(round(duration_s / self.readers[0].config.slot_s)))
+        frozen = scene.frozen()
         return [reader.inventory(frozen, duration_s) for reader in self.readers]
 
     def coverage_mask(self, points: np.ndarray, max_range_m: float = 12.0) -> np.ndarray:
@@ -180,20 +180,3 @@ def merge_hub_features(
     counter("hub.views_merged_total").inc(len(per_array) - zero_filled)
     counter("hub.views_zero_filled_total").inc(zero_filled)
     return FeatureFrames(channels=channels, label=reference.label)
-
-
-def _freeze_scene(scene: Scene, n_slots: int) -> Scene:
-    from repro.channel.model import BodyTrack
-
-    tracks = []
-    for track in scene.tag_tracks:
-        pos = track.positions
-        start = pos[0] if pos.ndim == 2 else pos
-        tracks.append(
-            TagTrack(tag=track.tag, positions=np.asarray(start), carrier=track.carrier)
-        )
-    bodies = tuple(
-        BodyTrack(positions=np.tile(b.positions[0], (n_slots, 1)), radius=b.radius)
-        for b in scene.bodies
-    )
-    return Scene(tag_tracks=tuple(tracks), bodies=bodies)

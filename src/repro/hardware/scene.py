@@ -84,9 +84,28 @@ class Scene:
         """EPC strings in tag-index order."""
         return tuple(t.tag.epc for t in self.tag_tracks)
 
+    def frozen(self) -> Scene:
+        """Everyone holds still at their starting pose.
+
+        This is the stationary-tag bootstrap that phase calibration
+        reads (paper Section III-A).  Tags and torsos become single
+        positions, so the channel computes the scene's geometry once
+        per antenna position instead of once per slot.
+        """
+        tracks = tuple(
+            TagTrack(tag=t.tag, positions=np.atleast_2d(t.positions)[0], carrier=t.carrier)
+            for t in self.tag_tracks
+        )
+        bodies = tuple(BodyTrack(b.positions[:1], b.radius) for b in self.bodies)
+        return Scene(tag_tracks=tracks, bodies=bodies)
+
 
 def stationary_scene(tags_and_positions: list[tuple[Tag, tuple[float, float]]]) -> Scene:
-    """A scene of motionless tags and no bodies (used for calibration)."""
+    """A scene of motionless tags and no bodies.
+
+    The channel renders it with its geometry computed once per antenna
+    position (see :meth:`repro.channel.model.MultipathChannel.path_components`).
+    """
     tracks = tuple(
         TagTrack(tag=tag, positions=np.asarray(pos, dtype=np.float64))
         for tag, pos in tags_and_positions

@@ -251,6 +251,27 @@ def test_all_duplicate_entry_flagged():
     assert "RPR005" in codes(lint_source(src, path="pkg/__init__.py"))
 
 
+LAZY_INIT = (
+    '"""Pkg."""\n'
+    '_HOME = {"join": "os.path"}\n'
+    "def __getattr__(name):\n"
+    "    from importlib import import_module\n"
+    "    return getattr(import_module(_HOME[name]), name)\n"
+)
+
+
+def test_all_lazy_exports_count_as_bound():
+    src = LAZY_INIT + '__all__ = ["join"]\n'
+    assert codes(lint_source(src, path="pkg/__init__.py")) == []
+
+
+def test_all_lazy_misspelt_export_flagged():
+    src = LAZY_INIT + '__all__ = ["jion"]\n'
+    findings = lint_source(src, path="pkg/__init__.py")
+    assert codes(findings) == ["RPR005"]
+    assert "jion" in findings[0].message
+
+
 def test_non_init_file_exempt_from_all_rule():
     src = "from os.path import join, split\n"
     assert codes(lint_source(src, path="pkg/helpers.py")) == []

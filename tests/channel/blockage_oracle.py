@@ -174,8 +174,16 @@ def path_components(
     bodies: tuple[BodyTrack, ...] = (),
     carrier: int | None = None,
 ) -> list[PathComponent]:
-    """Every resolved path, one :func:`crossing_mask` call per leg and blocker."""
+    """Every resolved path, one :func:`crossing_mask` call per leg and blocker.
+
+    A one-position body track (a standing torso) is tiled over the time
+    axis first, so every blocker is a full ``(T, 2)`` trajectory here.
+    """
     steps = channel._steps(antenna, tag, bodies)
+    bodies = tuple(
+        BodyTrack(np.tile(b.positions, (steps, 1)), b.radius) if b.steps == 1 else b
+        for b in bodies
+    )
     ant = as_traj(np.asarray(antenna, dtype=np.float64), steps)
     tag_t = as_traj(np.asarray(tag, dtype=np.float64), steps)
     lam = np.broadcast_to(np.asarray(wavelength, dtype=np.float64), (steps,))

@@ -19,8 +19,9 @@ from repro.channel import BodyTrack, ChannelParams, MultipathChannel
 from repro.data.generator import GenerationConfig, SyntheticDatasetGenerator
 from repro.dsp.calibration import PhaseCalibrator
 from repro.geometry import Rectangle, Room, Scatterer, Vec2
+from repro.hardware import Scene, TagTrack, UniformLinearArray, make_tag
 from repro.hardware.llrp import ReadLog
-from repro.hardware.reader import Reader
+from repro.hardware.reader import Reader, ReaderConfig
 from tests.channel import blockage_oracle
 from tests.dsp import calibration_oracle
 
@@ -171,10 +172,113 @@ def test_random_blockers_match_oracle(scene):
     assert_same_components(got, want)
     if np.ndim(antenna) == 2 or np.ndim(tag) == 2:
         # A standing torso given as one position renders like its tiled
-        # track (the oracle only accepts the tiled form).
+        # track (the oracle sees the tiled form).
         standing = tuple(
             BodyTrack(b.positions[:1], b.radius) if (b.positions == b.positions[0]).all() else b
             for b in bodies
         )
         got = channel.path_components(antenna, tag, lam, standing, carrier)
         assert_same_components(got, want)
+
+
+# -- stationary scenes ----------------------------------------------------------
+
+
+@st.composite
+def tdm_scenes(draw):
+    """A TDM inventory of a still scene: the antenna cycles through ``n`` ports."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    steps = draw(st.integers(min_value=1, max_value=3 * n))
+    ports = np.array([draw(grid_point) for _ in range(n)])
+    antenna = ports[np.arange(steps) % n]
+    tag = np.array(draw(grid_point))
+    scatterers = tuple(
+        Scatterer(
+            Vec2(*(tag if draw(st.booleans()) else draw(grid_point))),
+            draw(st.sampled_from([0.2, 0.5, 1.0])),
+            0.6,
+        )
+        for _ in range(draw(st.integers(min_value=0, max_value=3)))
+    )
+    bodies = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(["static", "on_tag", "on_antenna"]))
+        if kind == "static":
+            centre = np.array(draw(grid_point))
+        elif kind == "on_tag":
+            centre = tag
+        else:
+            centre = ports[draw(st.integers(min_value=0, max_value=n - 1))]
+        bodies.append(BodyTrack(centre[None, :], radius=draw(st.sampled_from([0.18, 0.5]))))
+    carrier = draw(st.sampled_from([None, *range(len(bodies))]))
+    room = Room(
+        bounds=ROOM,
+        wall_reflectivity=draw(st.sampled_from([0.0, 0.45])),
+        scatterers=scatterers,
+    )
+    channel = MultipathChannel(
+        room=room,
+        params=ChannelParams(diffuse_level=0.0),
+        max_reflection_order=draw(st.sampled_from([1, 2])),
+    )
+    lam = np.linspace(0.32, 0.34, steps)[draw(st.permutations(range(steps)))]
+    return channel, antenna, tag, lam, tuple(bodies), carrier
+
+
+@settings(max_examples=150, deadline=None)
+@given(tdm_scenes())
+def test_stationary_scenes_match_oracle(scene):
+    channel, antenna, tag, lam, bodies, carrier = scene
+    steps = len(antenna)
+    tiled = tuple(BodyTrack(np.tile(b.positions, (steps, 1)), b.radius) for b in bodies)
+    got = channel.path_components(antenna, tag, lam, bodies, carrier)
+    want = blockage_oracle.path_components(channel, antenna, tag, lam, tiled, carrier)
+    assert_same_components(got, want)
+
+
+def leg_table_widths(monkeypatch, scene: Scene, duration_s: float) -> tuple[int, list[int]]:
+    """Render ``scene`` through a four-port reader; return its slots and leg-table widths."""
+    widths: list[int] = []
+    blockage = MultipathChannel._blockage
+
+    def recorded(self, *args, **kwargs):
+        factor = blockage(self, *args, **kwargs)
+        widths.append(factor.shape[1])
+        return factor
+
+    furniture = (Scatterer(Vec2(2.0, 3.0), 0.3, 0.6),)
+    room = Room(bounds=ROOM, wall_reflectivity=0.45, scatterers=furniture)
+    array = UniformLinearArray(center=Vec2(3.0, 0.3), n_elements=4)
+    reader = Reader(ReaderConfig(array=array), room, seed=3)
+    with monkeypatch.context() as patch:
+        patch.setattr(MultipathChannel, "_blockage", recorded)
+        log = reader.inventory(scene, duration_s)
+    assert len(log.phase_rad) > 0
+    return int(round(duration_s / reader.config.slot_s)), widths
+
+
+def test_stationary_inventory_computes_geometry_per_antenna(monkeypatch):
+    rng = np.random.default_rng(0)
+    body = BodyTrack(np.array([[2.5, 2.0]]))
+    scene = Scene(
+        tag_tracks=(
+            TagTrack(make_tag("worn", rng), np.array([2.7, 2.1]), carrier=0),
+            TagTrack(make_tag("wall", rng), np.array([4.0, 4.0])),
+        ),
+        bodies=(body,),
+    )
+    slots, widths = leg_table_widths(monkeypatch, scene, 20.0)
+    assert slots == 800
+    assert len(widths) == 2 and max(widths) <= 4
+
+    # The same people walking: one leg-table column per slot.
+    walk = np.linspace([2.5, 2.0], [3.5, 2.5], slots)
+    moving = Scene(
+        tag_tracks=(
+            TagTrack(scene.tag_tracks[0].tag, walk + [0.2, 0.1], carrier=0),
+            scene.tag_tracks[1],
+        ),
+        bodies=(BodyTrack(walk),),
+    )
+    assert leg_table_widths(monkeypatch, moving, 20.0)[1] == [slots, slots]
+    assert leg_table_widths(monkeypatch, moving.frozen(), 20.0)[1] == widths
