@@ -22,6 +22,7 @@ measured channel is the **square of the one-way gain** computed here
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,17 @@ _SCATTER_CROSS_SECTION = 0.8
 
 _ENDPOINT_MARGIN = 1e-6
 """Tolerance (metres) for a leg endpoint coinciding with a blocker disc."""
+
+ROW_BUDGET = 640
+"""Most ``(tag, slot)`` rows in one moving-scene geometry table.
+
+:meth:`MultipathChannel.one_way_gains` stacks the tags of a moving scene
+along the slot axis and cuts the stack into tables of at most this many
+rows, so the ``(legs, rows)`` blockage planes keep one size however many
+tags and slots an inventory has."""
+
+_Path = tuple[str, np.ndarray, np.ndarray, np.ndarray | None]
+"""``(name, distance, gain or amplitude, worn-row mask or None)`` of one path."""
 
 
 @dataclass(frozen=True)
@@ -104,6 +116,89 @@ class MultipathChannel:
         if self.max_reflection_order not in (1, 2):
             raise ValueError("max_reflection_order must be 1 or 2")
 
+    def one_way_gains(
+        self,
+        antenna: np.ndarray,
+        tags: Sequence[np.ndarray],
+        wavelength: np.ndarray | float,
+        bodies: tuple[BodyTrack, ...] = (),
+        carriers: Sequence[int | None] | None = None,
+        include_diffuse: bool = True,
+    ) -> np.ndarray:
+        """Total complex one-way gain of every tag of one inventory.
+
+        All tags of a TDM inventory share the antenna trajectory, the
+        hop plan and the bodies, so the geometry, blockage and phase
+        steps run once over all of them (:meth:`_paths`).  Each tag's
+        path gains are summed in path order, and then, when
+        ``include_diffuse`` is set, zero-mean complex Gaussian clutter
+        is added, drawn per tag in tag order.  Row ``k`` has the bytes
+        of tag ``k`` rendered on its own, with the tags rendered one by
+        one in order on the same ``rng``.
+
+        Args:
+            antenna: antenna position, ``(2,)`` or per-step ``(T, 2)``.
+            tags: one position per tag, each ``(2,)`` or ``(T, 2)``.
+            wavelength: carrier wavelength in metres, scalar or ``(T,)``.
+            bodies: moving torsos in the scene.
+            carriers: per tag, the index into ``bodies`` of the torso
+                wearing it, or None; all None when omitted.
+            include_diffuse: add the diffuse clutter term.
+
+        Returns:
+            ``(len(tags), T)`` complex array.
+        """
+        tags = [np.asarray(t, dtype=np.float64) for t in tags]
+        carriers = [None] * len(tags) if carriers is None else list(carriers)
+        if not tags or len(carriers) != len(tags):
+            raise ValueError("need at least one tag and one carrier entry per tag")
+        steps = self._steps(antenna, tags, bodies)
+        total = np.empty((len(tags), steps), dtype=np.complex128)
+        flat = total.reshape(-1)
+        for rows, paths in self._paths(antenna, tags, wavelength, bodies, carriers):
+            out = flat[rows]
+            if steps == 1:
+                # One slot per tag: np.sum reduces the path axis pairwise,
+                # which the in-place adds below would not reproduce bit
+                # for bit.
+                kept = [(gain, worn) for _, _, gain, worn in paths]
+                for i in range(len(out)):
+                    out[i] = np.sum(
+                        [g[i : i + 1] for g, w in kept if w is None or not w[i]], axis=0
+                    )[0]
+                continue
+            _, _, first, _ = next(paths)
+            out[:] = first
+            for _, _, gain, worn in paths:
+                np.add(out, gain, out=out, where=True if worn is None else ~worn)
+        if include_diffuse and self.params.diffuse_level > 0.0:
+            sigma = self.params.diffuse_level * self.params.reference_amplitude
+            for row in total:
+                row += self.rng.normal(0.0, sigma, steps) + 1j * self.rng.normal(
+                    0.0, sigma, steps
+                )
+        return total
+
+    def one_way_gain(
+        self,
+        antenna: np.ndarray,
+        tag: np.ndarray,
+        wavelength: np.ndarray | float,
+        bodies: tuple[BodyTrack, ...] = (),
+        carrier: int | None = None,
+        include_diffuse: bool = True,
+    ) -> np.ndarray:
+        """Total complex one-way gain of one tag over time.
+
+        :meth:`one_way_gains` for a single tag.
+
+        Returns:
+            ``(T,)`` complex array.
+        """
+        return self.one_way_gains(
+            antenna, [tag], wavelength, bodies, [carrier], include_diffuse
+        )[0]
+
     def path_components(
         self,
         antenna: np.ndarray,
@@ -114,15 +209,7 @@ class MultipathChannel:
     ) -> list[PathComponent]:
         """Enumerate every resolved path between antenna and tag.
 
-        Two steps.  The geometry step (:meth:`_geometry`) gives each
-        path's length and its amplitude times blockage; both depend
-        only on positions.  The phase step multiplies in
-        ``exp(-2j*pi*d/lambda)`` per slot.  In a stationary scene (a
-        ``(2,)`` tag and only one-position body tracks) the geometry
-        depends on the antenna row alone, so it runs once per distinct
-        antenna row and is indexed back to the slots; a TDM inventory
-        has one row per array element.  Every other scene runs it per
-        slot.  Both give the same bytes.
+        :meth:`_paths` for a single tag, with its row chunks joined.
 
         Args:
             antenna: antenna position, ``(2,)`` or per-step ``(T, 2)``.
@@ -139,39 +226,108 @@ class MultipathChannel:
             A list of :class:`PathComponent`, strongest physics first
             (direct, walls, furniture, bodies).
         """
-        steps = self._steps(antenna, tag, bodies)
-        ant = as_traj(np.asarray(antenna, dtype=np.float64), steps)
-        tag = np.asarray(tag, dtype=np.float64)
-        lam = np.broadcast_to(np.asarray(wavelength, dtype=np.float64), (steps,))
-        if tag.shape == (2,) and all(b.steps == 1 for b in bodies):
-            rows, inverse = np.unique(ant, axis=0, return_inverse=True)
-            inverse = inverse.ravel()
-            geometry = [
-                (name, d[inverse], amp[inverse])
-                for name, d, amp in self._geometry(
-                    rows, as_traj(tag, len(rows)), bodies, carrier
-                )
-            ]
-        else:
-            geometry = self._geometry(ant, as_traj(tag, steps), bodies, carrier)
+        tags = [np.asarray(tag, dtype=np.float64)]
+        cuts = self._paths(antenna, tags, wavelength, bodies, [carrier])
+        chunks = [list(paths) for _, paths in cuts]
         return [
-            PathComponent(name, d, amp * np.exp(-2j * np.pi * d / lam))
-            for name, d, amp in geometry
+            PathComponent(
+                parts[0][0],
+                np.concatenate([d for _, d, _, _ in parts]),
+                np.concatenate([g for _, _, g, _ in parts]),
+            )
+            for parts in zip(*chunks)
         ]
+
+    def _paths(
+        self,
+        antenna: np.ndarray,
+        tags: list[np.ndarray],
+        wavelength: np.ndarray | float,
+        bodies: tuple[BodyTrack, ...],
+        carriers: list[int | None],
+    ) -> Iterator[tuple[slice, Iterator[_Path]]]:
+        """Every path of every tag, over the tag-major ``(tag, slot)`` rows.
+
+        Two steps.  The geometry step (:meth:`_geometry`) gives each
+        path's length and its amplitude times blockage; both depend
+        only on positions.  The phase step multiplies in
+        ``exp(-2j*pi*d/lambda)`` per slot.  In a stationary scene
+        (``(2,)`` tags and only one-position body tracks) the geometry
+        depends on the antenna row alone, so it runs once over a table
+        of (tag, distinct antenna row) rows and is indexed back to the
+        slots; a TDM inventory has one row per array element.  A moving
+        scene stacks the tags along the slot axis and runs the geometry
+        on consecutive cuts of at most :data:`ROW_BUDGET` rows.  Every
+        row gives the same bytes either way.
+
+        Yields:
+            ``(rows, paths)`` per cut: ``rows`` slices the flattened
+            ``(len(tags), T)`` rows, and ``paths`` lazily yields
+            ``(name, distance, gain, worn)`` per path in output order,
+            with ``worn`` the mask of rows whose tag is worn by this
+            body path's torso (None when no row is).  A path worn on
+            every row of a cut is left out of it.
+        """
+        n = len(tags)
+        steps = self._steps(antenna, tags, bodies)
+        ant = as_traj(np.asarray(antenna, dtype=np.float64), steps)
+        lam = np.broadcast_to(np.asarray(wavelength, dtype=np.float64), (steps,))
+        lam = np.tile(lam, n)
+        worn_by = np.array([-1 if c is None else c for c in carriers])
+        if all(t.shape == (2,) for t in tags) and all(b.steps == 1 for b in bodies):
+            table, inverse = np.unique(ant, axis=0, return_inverse=True)
+            width = len(table)
+            geometry = self._geometry(
+                np.tile(table, (n, 1)),
+                np.repeat(np.stack(tags), width, axis=0),
+                bodies,
+                np.repeat(worn_by, width),
+            )
+            index = (np.arange(n)[:, None] * width + inverse.ravel()).ravel()
+            yield slice(0, n * steps), self._phase(geometry, lam, index)
+            return
+        ant = np.tile(ant, (n, 1))
+        tag_t = np.concatenate([as_traj(t, steps) for t in tags])
+        stacked = tuple(
+            b if b.steps == 1 else BodyTrack(np.tile(b.positions, (n, 1)), b.radius)
+            for b in bodies
+        )
+        worn_by = np.repeat(worn_by, steps)
+        for start in range(0, n * steps, ROW_BUDGET):
+            rows = slice(start, start + ROW_BUDGET)
+            cut = tuple(
+                b if b.steps == 1 else BodyTrack(b.positions[rows], b.radius) for b in stacked
+            )
+            geometry = self._geometry(ant[rows], tag_t[rows], cut, worn_by[rows])
+            yield rows, self._phase(geometry, lam[rows])
+
+    @staticmethod
+    def _phase(
+        geometry: list[_Path], lam: np.ndarray, index: np.ndarray | None = None
+    ) -> Iterator[_Path]:
+        """The phase step: each path's rows, gathered by ``index``, times ``exp(-2j*pi*d/lam)``."""
+        for name, d, amp, worn in geometry:
+            if index is not None:
+                d, amp = d[index], amp[index]
+                worn = None if worn is None else worn[index]
+            yield name, d, amp * np.exp(-2j * np.pi * d / lam), worn
 
     def _geometry(
         self,
         ant: np.ndarray,
         tag_t: np.ndarray,
         bodies: tuple[BodyTrack, ...],
-        carrier: int | None,
-    ) -> list[tuple[str, np.ndarray, np.ndarray]]:
-        """``(name, distance, amplitude * blockage)`` per path, ``(S,)`` each.
+        worn_by: np.ndarray,
+    ) -> list[_Path]:
+        """``(name, distance, amplitude * blockage, worn)`` per path, ``(S,)`` each.
 
         ``ant`` and ``tag_t`` are ``(S, 2)`` trajectories; every body
-        track has ``S`` positions or one.  Every path leg goes into one
-        table first; :meth:`_blockage` then evaluates the whole table
-        against each blocker in turn.
+        track has ``S`` positions or one.  ``worn_by`` gives, per row,
+        the index of the torso wearing that row's tag (-1 for none); a
+        body path is left out where every row is worn by its torso, and
+        otherwise carries the mask of the rows that are.  Every path
+        leg goes into one table first; :meth:`_blockage` then evaluates
+        the whole table against each blocker in turn.
         """
         steps = ant.shape[0]
         centres = [b.positions[0] if b.steps == 1 else b.positions for b in bodies]
@@ -183,12 +339,12 @@ class MultipathChannel:
             legs.append((start, end))
             return len(legs) - 1
 
-        # (name, distance, amplitude, leg rows) per path, in output order.
-        paths: list[tuple[str, np.ndarray, np.ndarray, tuple[int, ...]]] = []
+        # (name, distance, amplitude, leg rows, worn) per path, in output order.
+        paths: list[tuple[str, np.ndarray, np.ndarray, tuple[int, ...], np.ndarray | None]] = []
 
         # Direct ray.
         d0 = np.maximum(pairwise_distance(ant, tag_t), 0.05)
-        paths.append(("direct", d0, amp0 / d0, (leg(ant, tag_t),)))
+        paths.append(("direct", d0, amp0 / d0, (leg(ant, tag_t),), None))
 
         # Wall reflections via the image-source method.
         if self.room.wall_reflectivity > 0.0:
@@ -198,7 +354,7 @@ class MultipathChannel:
                 d = np.maximum(pairwise_distance(ant, image), 0.05)
                 hit = self._wall_hit_point(ant, image, wall)
                 rows = (leg(ant, hit), leg(hit, tag_t))
-                paths.append((f"wall:{wall}", d, amp0 * rho / d, rows))
+                paths.append((f"wall:{wall}", d, amp0 * rho / d, rows, None))
             if self.max_reflection_order >= 2:
                 # Corner images: mirroring across one horizontal and one
                 # vertical wall; the ray reflects off both, so it carries
@@ -216,59 +372,32 @@ class MultipathChannel:
                         hit_b = self._wall_hit_point(hit_a, single, wall_b)
                         rows = (leg(ant, hit_a), leg(hit_b, tag_t))
                         name = f"wall2:{wall_a}+{wall_b}"
-                        paths.append((name, d, amp0 * rho2 / d, rows))
+                        paths.append((name, d, amp0 * rho2 / d, rows, None))
 
         # Furniture scatterers, then human torsos as dynamic scatterers:
         # antenna -> scatterer -> tag.
         scatter = [
-            (f"scatterer:{idx}", np.asarray(s.position.as_tuple()), s.reflectivity)
+            (f"scatterer:{idx}", np.asarray(s.position.as_tuple()), s.reflectivity, None)
             for idx, s in enumerate(self.room.scatterers)
-        ] + [
-            (f"body:{idx}", centre, self.params.body_reflectivity)
-            for idx, centre in enumerate(centres)
-            if carrier is None or idx != carrier
         ]
-        for name, centre, reflectivity in scatter:
+        for idx, centre in enumerate(centres):
+            worn = worn_by == idx
+            if not worn.all():
+                reflectivity = self.params.body_reflectivity
+                scatter.append((f"body:{idx}", centre, reflectivity, worn if worn.any() else None))
+        for name, centre, reflectivity, worn in scatter:
             pos = as_traj(np.asarray(centre, dtype=np.float64), steps)
             d1 = np.maximum(pairwise_distance(ant, pos), 0.05)
             d2 = np.maximum(pairwise_distance(pos, tag_t), 0.05)
             amp = amp0 * reflectivity * _SCATTER_CROSS_SECTION / (d1 * d2)
-            paths.append((name, d1 + d2, amp, (leg(ant, pos), leg(pos, tag_t))))
+            paths.append((name, d1 + d2, amp, (leg(ant, pos), leg(pos, tag_t)), worn))
 
         factor = self._blockage(legs, bodies, centres)
         geometry = []
-        for name, d, amp, rows in paths:
+        for name, d, amp, rows, worn in paths:
             block = factor[rows[0]] if len(rows) == 1 else factor[rows[0]] * factor[rows[1]]
-            geometry.append((name, d, amp * block))
+            geometry.append((name, d, amp * block, worn))
         return geometry
-
-    def one_way_gain(
-        self,
-        antenna: np.ndarray,
-        tag: np.ndarray,
-        wavelength: np.ndarray | float,
-        bodies: tuple[BodyTrack, ...] = (),
-        carrier: int | None = None,
-        include_diffuse: bool = True,
-    ) -> np.ndarray:
-        """Total complex one-way gain over time.
-
-        Sums :meth:`path_components` and, when ``include_diffuse`` is
-        set, adds zero-mean complex Gaussian clutter.
-
-        Returns:
-            ``(T,)`` complex array.
-        """
-        comps = self.path_components(antenna, tag, wavelength, bodies, carrier)
-        total = np.sum([c.gain for c in comps], axis=0)
-        if include_diffuse and self.params.diffuse_level > 0.0:
-            steps = total.shape[0]
-            sigma = self.params.diffuse_level * self.params.reference_amplitude
-            noise = self.rng.normal(0.0, sigma, steps) + 1j * self.rng.normal(
-                0.0, sigma, steps
-            )
-            total = total + noise
-        return total
 
     def round_trip_gain(
         self,
@@ -292,10 +421,10 @@ class MultipathChannel:
 
     @staticmethod
     def _steps(
-        antenna: np.ndarray, tag: np.ndarray, bodies: tuple[BodyTrack, ...]
+        antenna: np.ndarray, tags: Sequence[np.ndarray], bodies: tuple[BodyTrack, ...]
     ) -> int:
         candidates = [np.atleast_2d(np.asarray(antenna)).shape[0]]
-        candidates.append(np.atleast_2d(np.asarray(tag)).shape[0])
+        candidates.extend(np.atleast_2d(np.asarray(t)).shape[0] for t in tags)
         candidates.extend(b.steps for b in bodies)
         steps = max(candidates)
         for b in bodies:

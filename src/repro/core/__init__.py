@@ -2,7 +2,6 @@
 
 from repro.core.config import M2AIConfig
 from repro.core.dataset import ActivityDataset, ChannelScaler
-from repro.core.ensemble import M2AIEnsemble
 from repro.core.model import MODEL_MODES, ConvBranch, DenseBranch, M2AINet
 from repro.core.pipeline import (
     SERVE_DTYPES,
@@ -24,7 +23,6 @@ __all__ = [
     "DenseBranch",
     "EvaluationResult",
     "M2AIConfig",
-    "M2AIEnsemble",
     "M2AINet",
     "M2AIPipeline",
     "SERVE_DTYPES",

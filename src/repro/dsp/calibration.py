@@ -65,19 +65,24 @@ class _AntennaCalibration:
     def resolved_offsets(self, frequencies_hz: np.ndarray) -> np.ndarray:
         """Every channel's offset with the fallback chain applied.
 
-        The table is immutable after :func:`_fit_antenna`, so the
-        per-channel :meth:`offset_for` resolution is computed once and
+        The same chain as :meth:`offset_for` (observed, then the linear
+        fit, then the nearest observed channel with the first on ties,
+        then zero), as one masked expression over all channels.  The
+        table is immutable after :func:`_fit_antenna`, so the result is
         cached — :meth:`PhaseCalibrator.calibrate` sits on the
-        per-window serving hot path and must not re-run the Python
-        fallback chain for every read.
+        per-window serving hot path.
         """
         if self._resolved is None:
-            self._resolved = np.array(
-                [
-                    self.offset_for(c, frequencies_hz)
-                    for c in range(frequencies_hz.size)
-                ]
-            )
+            missing = np.isnan(self.offsets)
+            if self.has_fit:
+                fallback = self.fit_intercept + self.fit_slope_per_mhz * (frequencies_hz / 1e6)
+            elif missing.all():
+                fallback = np.zeros(frequencies_hz.size)
+            else:
+                observed = np.flatnonzero(~missing)
+                gap = np.abs(frequencies_hz[observed] - frequencies_hz[:, None])
+                fallback = self.offsets[observed[np.argmin(gap, axis=1)]]
+            self._resolved = np.where(missing, fallback, self.offsets)
         return self._resolved
 
 

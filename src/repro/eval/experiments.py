@@ -13,6 +13,8 @@ and which way each sweep trends.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.core.config import M2AIConfig
@@ -36,7 +38,8 @@ from repro.eval.harness import (
     get_raw_samples,
     train_eval_m2ai,
 )
-from repro.eval.reporting import ExperimentResult, ExperimentRow
+from repro.eval.reporting import ExperimentResult, ExperimentRow, declares
+from repro.motion.scenarios import SCENARIO_LABELS
 
 
 def _gen_config(quick: bool, seed: int, **overrides) -> GenerationConfig:
@@ -59,10 +62,45 @@ def _sweep_config(quick: bool, seed: int, **overrides) -> GenerationConfig:
     return vary(base, **overrides)
 
 
+def _headline(quick: bool = True, seed: int = 0) -> dict:
+    """The shared Fig. 9 corpus and training budget."""
+    return {
+        "corpus": _gen_config(quick, seed, samples_per_class=20 if quick else 24),
+        "training": _train_config(quick, seed),
+    }
+
+
+def _sweep(axis: str, values: tuple, **fixed) -> Callable[..., dict]:
+    """The budget of a sweep driver: one corpus per ``axis`` value."""
+
+    def budget(quick: bool = True, seed: int = 0) -> dict:
+        return {
+            "corpus": {v: _sweep_config(quick, seed, **fixed, **{axis: v}) for v in values},
+            "training": _train_config(quick, seed),
+        }
+
+    return budget
+
+
+def _ablation(quick: bool = True, seed: int = 0) -> dict:
+    """The Fig. 16 corpus and training budget."""
+    return {"corpus": _gen_config(quick, seed), "training": _train_config(quick, seed)}
+
+
+# The Fig. 11 class set (see run_fig11).
+_DISTINCT_LABELS = tuple(label for label in SCENARIO_LABELS if label not in ("A05", "A06"))
+_fig11 = _sweep("n_persons", (1, 2, 3), scenario_labels=_DISTINCT_LABELS)
+_fig12 = _sweep("environment", ("laboratory", "hall"))
+_fig13 = _sweep("distance_m", (1.0, 2.0, 3.0, 4.0))
+_fig14 = _sweep("n_antennas", (2, 3, 4))
+_fig15 = _sweep("tags_per_person", (1, 2, 3))
+
+
 # ---------------------------------------------------------------------------
 # Fig. 9 / Table I / Fig. 10 — the headline comparison (shared corpus)
 
 
+@declares(_headline)
 def run_fig09(quick: bool = True, seed: int = 0) -> ExperimentResult:
     """Fig. 9: M2AI vs ten conventional classifiers.
 
@@ -72,9 +110,9 @@ def run_fig09(quick: bool = True, seed: int = 0) -> ExperimentResult:
     study), and at very small corpus sizes all methods converge to
     similar mediocrity.
     """
-    cfg = _gen_config(quick, seed, samples_per_class=20 if quick else 24)
-    dataset = get_dataset(cfg)
-    m2ai, _pipe = train_eval_m2ai(dataset, _train_config(quick, seed), split_seed=seed)
+    budget = _headline(quick, seed)
+    dataset = get_dataset(budget["corpus"])
+    m2ai, _pipe = train_eval_m2ai(dataset, budget["training"], split_seed=seed)
     scores = eval_baselines(dataset, split_seed=seed)
     paper = {
         "M2AI": (0.97, False),
@@ -107,11 +145,12 @@ def run_fig09(quick: bool = True, seed: int = 0) -> ExperimentResult:
     )
 
 
+@declares(_headline)
 def run_table1(quick: bool = True, seed: int = 0) -> ExperimentResult:
     """Table I: per-class confusion of the trained M2AI."""
-    cfg = _gen_config(quick, seed, samples_per_class=20 if quick else 24)
-    dataset = get_dataset(cfg)
-    result, _pipe = train_eval_m2ai(dataset, _train_config(quick, seed), split_seed=seed)
+    budget = _headline(quick, seed)
+    dataset = get_dataset(budget["corpus"])
+    result, _pipe = train_eval_m2ai(dataset, budget["training"], split_seed=seed)
     diag = result.confusion.diagonal_accuracy()
     rows = [
         ExperimentRow("mean per-class accuracy", 0.966, float(diag.mean())),
@@ -126,6 +165,7 @@ def run_table1(quick: bool = True, seed: int = 0) -> ExperimentResult:
     )
 
 
+@declares(_headline)
 def run_fig10(quick: bool = True, seed: int = 0) -> ExperimentResult:
     """Fig. 10: impact of phase calibration (same recordings, re-featurised).
 
@@ -136,11 +176,11 @@ def run_fig10(quick: bool = True, seed: int = 0) -> ExperimentResult:
     the paper's own no-calibration number (52%) is weak-feature level,
     not chance — RSSI and motion dynamics survive phase scrambling.
     """
-    cfg = _gen_config(quick, seed, samples_per_class=20 if quick else 24)
-    with_cal = get_dataset(cfg, use_calibration=True)
-    without_cal = get_dataset(cfg, use_calibration=False)
-    acc_cal, _ = train_eval_m2ai(with_cal, _train_config(quick, seed), split_seed=seed)
-    acc_raw, _ = train_eval_m2ai(without_cal, _train_config(quick, seed), split_seed=seed)
+    budget = _headline(quick, seed)
+    with_cal = get_dataset(budget["corpus"], use_calibration=True)
+    without_cal = get_dataset(budget["corpus"], use_calibration=False)
+    acc_cal, _ = train_eval_m2ai(with_cal, budget["training"], split_seed=seed)
+    acc_raw, _ = train_eval_m2ai(without_cal, budget["training"], split_seed=seed)
     return ExperimentResult(
         experiment_id="fig10",
         title="Impact of phase calibration",
@@ -167,6 +207,7 @@ def run_fig10(quick: bool = True, seed: int = 0) -> ExperimentResult:
 # Fig. 11-15 — parameter sweeps
 
 
+@declares(_fig11)
 def run_fig11(quick: bool = True, seed: int = 0) -> ExperimentResult:
     """Fig. 11: one, two, three simultaneous people.
 
@@ -176,15 +217,12 @@ def run_fig11(quick: bool = True, seed: int = 0) -> ExperimentResult:
     identical and the 1-person arm would be unwinnable by construction.
     All three arms use the same 10-class set for comparability.
     """
-    from repro.motion.scenarios import SCENARIO_LABELS
-
-    labels = tuple(l for l in SCENARIO_LABELS if l not in ("A05", "A06"))
+    budget = _fig11(quick, seed)
     paper = {1: 0.97, 2: 0.90, 3: 0.80}
     rows = []
-    for n_persons in (1, 2, 3):
-        cfg = _sweep_config(quick, seed, n_persons=n_persons, scenario_labels=labels)
+    for n_persons, cfg in budget["corpus"].items():
         dataset = get_dataset(cfg)
-        result, _ = train_eval_m2ai(dataset, _train_config(quick, seed), split_seed=seed)
+        result, _ = train_eval_m2ai(dataset, budget["training"], split_seed=seed)
         rows.append(
             ExperimentRow(
                 f"{n_persons} object(s)", paper[n_persons], result.accuracy, approx=n_persons != 3
@@ -201,14 +239,15 @@ def run_fig11(quick: bool = True, seed: int = 0) -> ExperimentResult:
     )
 
 
+@declares(_fig12)
 def run_fig12(quick: bool = True, seed: int = 0) -> ExperimentResult:
     """Fig. 12: laboratory (high multipath) vs hall (low multipath)."""
+    budget = _fig12(quick, seed)
     rows = []
     paper = {"laboratory": 0.97, "hall": 0.95}
-    for env in ("laboratory", "hall"):
-        cfg = _sweep_config(quick, seed, environment=env)
+    for env, cfg in budget["corpus"].items():
         dataset = get_dataset(cfg)
-        result, _ = train_eval_m2ai(dataset, _train_config(quick, seed), split_seed=seed)
+        result, _ = train_eval_m2ai(dataset, budget["training"], split_seed=seed)
         rows.append(ExperimentRow(env, paper[env], result.accuracy))
     gap = abs(rows[0].measured - rows[1].measured)
     return ExperimentResult(
@@ -222,13 +261,14 @@ def run_fig12(quick: bool = True, seed: int = 0) -> ExperimentResult:
     )
 
 
+@declares(_fig13)
 def run_fig13(quick: bool = True, seed: int = 0) -> ExperimentResult:
     """Fig. 13: reader-to-person distance 1-4 m."""
+    budget = _fig13(quick, seed)
     rows = []
-    for distance in (1.0, 2.0, 3.0, 4.0):
-        cfg = _sweep_config(quick, seed, distance_m=distance)
+    for distance, cfg in budget["corpus"].items():
         dataset = get_dataset(cfg)
-        result, _ = train_eval_m2ai(dataset, _train_config(quick, seed), split_seed=seed)
+        result, _ = train_eval_m2ai(dataset, budget["training"], split_seed=seed)
         rows.append(ExperimentRow(f"{distance:.0f} m", None, result.accuracy))
     values = [r.measured for r in rows]
     spread = max(values) - min(values)
@@ -245,14 +285,15 @@ def run_fig13(quick: bool = True, seed: int = 0) -> ExperimentResult:
     )
 
 
+@declares(_fig14)
 def run_fig14(quick: bool = True, seed: int = 0) -> ExperimentResult:
     """Fig. 14: 2, 3, 4 reader antennas."""
+    budget = _fig14(quick, seed)
     paper = {2: 0.60, 3: 0.80, 4: 0.97}
     rows = []
-    for n_antennas in (2, 3, 4):
-        cfg = _sweep_config(quick, seed, n_antennas=n_antennas)
+    for n_antennas, cfg in budget["corpus"].items():
         dataset = get_dataset(cfg)
-        result, _ = train_eval_m2ai(dataset, _train_config(quick, seed), split_seed=seed)
+        result, _ = train_eval_m2ai(dataset, budget["training"], split_seed=seed)
         rows.append(
             ExperimentRow(
                 f"{n_antennas} antennas",
@@ -271,14 +312,15 @@ def run_fig14(quick: bool = True, seed: int = 0) -> ExperimentResult:
     )
 
 
+@declares(_fig15)
 def run_fig15(quick: bool = True, seed: int = 0) -> ExperimentResult:
     """Fig. 15: 1, 2, 3 tags per person."""
+    budget = _fig15(quick, seed)
     paper = {1: 0.70, 2: 0.85, 3: 0.97}
     rows = []
-    for tags in (1, 2, 3):
-        cfg = _sweep_config(quick, seed, tags_per_person=tags)
+    for tags, cfg in budget["corpus"].items():
         dataset = get_dataset(cfg)
-        result, _ = train_eval_m2ai(dataset, _train_config(quick, seed), split_seed=seed)
+        result, _ = train_eval_m2ai(dataset, budget["training"], split_seed=seed)
         rows.append(
             ExperimentRow(
                 f"{tags} tag(s)/person", paper[tags], result.accuracy, approx=tags != 3
@@ -298,9 +340,11 @@ def run_fig15(quick: bool = True, seed: int = 0) -> ExperimentResult:
 # Fig. 16 / Fig. 17 — preprocessing and architecture ablations
 
 
+@declares(_ablation)
 def run_fig16(quick: bool = True, seed: int = 0) -> ExperimentResult:
     """Fig. 16: featuriser ablation over the same recordings."""
-    cfg = _gen_config(quick, seed)
+    budget = _ablation(quick, seed)
+    cfg = budget["corpus"]
     raw = get_raw_samples(cfg)
     from repro.data.generator import SyntheticDatasetGenerator
 
@@ -315,7 +359,7 @@ def run_fig16(quick: bool = True, seed: int = 0) -> ExperimentResult:
     rows = []
     for name, featurizer, paper, approx in featurizers:
         dataset = generator.featurize(raw, featurizer=featurizer)
-        result, _ = train_eval_m2ai(dataset, _train_config(quick, seed), split_seed=seed)
+        result, _ = train_eval_m2ai(dataset, budget["training"], split_seed=seed)
         rows.append(ExperimentRow(name, paper, result.accuracy, approx=approx))
     best = max(rows, key=lambda r: r.measured)
     return ExperimentResult(
@@ -327,6 +371,7 @@ def run_fig16(quick: bool = True, seed: int = 0) -> ExperimentResult:
     )
 
 
+@declares(_headline)
 def run_fig17(quick: bool = True, seed: int = 0) -> ExperimentResult:
     """Fig. 17: CNN+LSTM vs CNN-only vs LSTM-only.
 
@@ -336,14 +381,14 @@ def run_fig17(quick: bool = True, seed: int = 0) -> ExperimentResult:
     and at very small corpus sizes temporal mean-pooling ("CNN only")
     generalises better.
     """
-    cfg = _gen_config(quick, seed, samples_per_class=20 if quick else 24)
-    dataset = get_dataset(cfg)
+    budget = _headline(quick, seed)
+    dataset = get_dataset(budget["corpus"])
     rows = []
     paper = {"cnn_lstm": (0.97, False), "cnn": (0.67, True), "lstm": (0.72, True)}
     label = {"cnn_lstm": "M2AI (CNN+LSTM)", "cnn": "CNN only", "lstm": "LSTM only"}
     for mode in ("cnn_lstm", "cnn", "lstm"):
         result, _ = train_eval_m2ai(
-            dataset, _train_config(quick, seed), mode=mode, split_seed=seed
+            dataset, budget["training"], mode=mode, split_seed=seed
         )
         value, approx = paper[mode]
         rows.append(ExperimentRow(label[mode], value, result.accuracy, approx=approx))

@@ -19,7 +19,7 @@ from repro.core.config import M2AIConfig
 from repro.data.generator import GenerationConfig
 from repro.data.workloads import full_training, quick_training
 from repro.eval.harness import get_dataset, train_eval_m2ai
-from repro.eval.reporting import ExperimentResult, ExperimentRow
+from repro.eval.reporting import ExperimentResult, ExperimentRow, declares
 from repro.eval.resilience import run_ext_resilience
 from repro.eval.serving import run_ext_serving
 from repro.eval.robustness import run_ext_robustness
@@ -29,6 +29,23 @@ def _training(quick: bool, seed: int) -> M2AIConfig:
     return quick_training(seed) if quick else full_training(seed)
 
 
+def _no_budget(quick: bool = True, seed: int = 0) -> dict:
+    """A geometric study: no corpus, no training."""
+    return {}
+
+
+def _augmentation(quick: bool = True, seed: int = 0) -> dict:
+    """The augmentation ablation's corpus and base training budget."""
+    corpus = GenerationConfig(
+        samples_per_class=8 if quick else 18,
+        duration_s=6.0,
+        calibration_s=20.0,
+        seed=seed,
+    )
+    return {"corpus": corpus, "training": _training(quick, seed)}
+
+
+@declares(_no_budget)
 def run_ext_hub_coverage(quick: bool = True, seed: int = 0) -> ExperimentResult:
     """Coverage scaling with antenna hubs (Section VII, second discussion)."""
     del quick, seed  # geometric study; deterministic and fast
@@ -70,19 +87,14 @@ def run_ext_hub_coverage(quick: bool = True, seed: int = 0) -> ExperimentResult:
     )
 
 
+@declares(_augmentation)
 def run_ext_augmentation(quick: bool = True, seed: int = 0) -> ExperimentResult:
     """Ablation: training-time augmentation on vs off."""
     from dataclasses import replace
 
-    dataset = get_dataset(
-        GenerationConfig(
-            samples_per_class=8 if quick else 18,
-            duration_s=6.0,
-            calibration_s=20.0,
-            seed=seed,
-        )
-    )
-    base = _training(quick, seed)
+    budget = _augmentation(quick, seed)
+    dataset = get_dataset(budget["corpus"])
+    base = budget["training"]
     with_aug, _ = train_eval_m2ai(
         dataset, replace(base, augment=True), split_seed=seed
     )

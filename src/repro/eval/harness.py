@@ -199,6 +199,21 @@ def runtime_training(quick: bool, seed: int) -> M2AIConfig:
     return M2AIConfig(epochs=25 if quick else 45, batch_size=8, seed=seed)
 
 
+def runtime_budget(quick: bool = True, seed: int = 0) -> dict:
+    """The corpus and training budget of the runtime studies.
+
+    Four activities; :func:`runtime_workload` renders the corpus.
+    """
+    corpus = GenerationConfig(
+        scenario_labels=("A01", "A03", "A07", "A11"),
+        samples_per_class=6 if quick else 12,
+        duration_s=6.0,
+        calibration_s=20.0,
+        seed=seed,
+    )
+    return {"corpus": corpus, "training": runtime_training(quick, seed)}
+
+
 @dataclass(frozen=True)
 class RuntimeWorkload:
     """Recordings of the runtime studies, split into train and held out.
@@ -227,13 +242,8 @@ def runtime_workload(quick: bool, seed: int) -> RuntimeWorkload:
     Four activities, featurised training split; the held-out
     recordings are left raw so the studies can serve them as streams.
     """
-    config = GenerationConfig(
-        scenario_labels=("A01", "A03", "A07", "A11"),
-        samples_per_class=6 if quick else 12,
-        duration_s=6.0,
-        calibration_s=20.0,
-        seed=seed,
-    )
+    budget = runtime_budget(quick, seed)
+    config = budget["corpus"]
     raw = get_raw_samples(config)
     order = np.random.default_rng(seed).permutation(len(raw))
     n_held = max(4, int(0.25 * len(raw)))
@@ -244,7 +254,7 @@ def runtime_workload(quick: bool, seed: int) -> RuntimeWorkload:
         raw=raw,
         held_out=[raw[i] for i in order[:n_held]],
         train=train,
-        training=runtime_training(quick, seed),
+        training=budget["training"],
     )
 
 

@@ -9,6 +9,26 @@ approximate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
+
+
+def declares(budget: Callable[..., dict]) -> Callable[[Callable], Callable]:
+    """Attach ``budget`` to the decorated driver as ``driver.configs``.
+
+    ``budget`` takes the driver's arguments (``quick``, ``seed`` and any
+    overrides) and returns, keyed by role, everything that sizes the
+    run: the driver's ``GenerationConfig`` and ``M2AIConfig`` objects
+    and any budget constant outside them.  The driver reads its configs
+    from the same function, so the declaration cannot drift from what
+    runs; :func:`repro.experiments.runner.bind_configs` keys each store
+    record by a digest of it.
+    """
+
+    def attach(driver: Callable) -> Callable:
+        driver.configs = budget
+        return driver
+
+    return attach
 
 
 @dataclass(frozen=True)

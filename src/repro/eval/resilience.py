@@ -39,11 +39,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.core.streaming import StreamingIdentifier, split_windows
-from repro.eval.reporting import ExperimentResult, ExperimentRow
+from repro.eval.reporting import ExperimentResult, ExperimentRow, declares
 from repro.eval.robustness import (
     DEFAULT_FAULT_KINDS,
     DEFAULT_SEVERITIES,
     _clean_calibrator,
+    _runtime_budget,
     fault_sweep,
 )
 from repro.runtime import (
@@ -406,6 +407,7 @@ def run_resilience_bench(quick: bool = True, seed: int = 0) -> dict:
     }
 
 
+@declares(_runtime_budget)
 def run_ext_resilience(quick: bool = True, seed: int = 0) -> ExperimentResult:
     """Supervised-runtime resilience: the fault sweep that cannot crash.
 

@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.streaming import StreamingIdentifier
 from repro.data.generator import RawSample
 from repro.dsp.calibration import PhaseCalibrator
-from repro.eval.reporting import ExperimentResult, ExperimentRow
+from repro.eval.reporting import ExperimentResult, ExperimentRow, declares
 from repro.faults import FaultSpec, apply_faults
 from repro.hardware.llrp import ReadLog
 
@@ -249,6 +249,14 @@ def _clean_calibrator(raw: RawSample) -> PhaseCalibrator:
     return raw.calibrator
 
 
+def _runtime_budget(quick: bool = True, seed: int = 0) -> dict:
+    """:func:`repro.eval.harness.runtime_budget`, imported on first use."""
+    from repro.eval import harness
+
+    return harness.runtime_budget(quick, seed)
+
+
+@declares(_runtime_budget)
 def run_ext_robustness(quick: bool = True, seed: int = 0) -> ExperimentResult:
     """Degradation curves: accuracy/abstain rate vs fault severity.
 

@@ -31,8 +31,8 @@ import time
 import numpy as np
 
 from repro.core.streaming import REASON_ADMISSION, StreamingIdentifier
-from repro.eval.reporting import ExperimentResult, ExperimentRow
-from repro.eval.robustness import _clean_calibrator
+from repro.eval.reporting import ExperimentResult, ExperimentRow, declares
+from repro.eval.robustness import _clean_calibrator, _runtime_budget
 from repro.serving import FleetServer
 
 LATENCY_P95_TOLERANCE = 1.25
@@ -395,6 +395,7 @@ def run_serving_bench(quick: bool = True, seed: int = 0) -> dict:
     }
 
 
+@declares(_runtime_budget)
 def run_ext_serving(quick: bool = True, seed: int = 0) -> ExperimentResult:
     """Fleet serving: isolation evidence and the control surface.
 

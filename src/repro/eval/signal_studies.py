@@ -17,7 +17,7 @@ import numpy as np
 from repro.dsp.angles import fold_double, grouped_circular_median
 from repro.dsp.calibration import PhaseCalibrator
 from repro.dsp.frames import tag_music_spectra
-from repro.eval.reporting import ExperimentResult, ExperimentRow
+from repro.eval.reporting import ExperimentResult, ExperimentRow, declares
 from repro.geometry.room import make_laboratory
 from repro.geometry.vec import Vec2
 from repro.hardware.antenna import UniformLinearArray
@@ -36,13 +36,23 @@ def _spectra_for_tag(reader: Reader, scene: Scene, duration_s: float, tag: int =
     return tag_music_spectra(log, psi, tag)
 
 
+def _fig02_budget(quick: bool = True, seed: int = 0) -> dict:
+    """Fig. 2 renders fixed 4 s scenes in either mode: no corpus, no training."""
+    return {"duration_s": 4.0}
+
+
+def _fig03_budget(quick: bool = True, seed: int = 0) -> dict:
+    """Fig. 3 renders one stationary inventory: no corpus, no training."""
+    return {"duration_s": 24.0 if quick else 60.0}
+
+
+@declares(_fig02_budget)
 def run_fig02(quick: bool = True, seed: int = 0) -> ExperimentResult:
     """Fig. 2: pseudospectrum behaviour from one tag to a crowded room."""
-    del quick  # signal-level study; always fast
+    duration = _fig02_budget(quick, seed)["duration_s"]
     room = make_laboratory()
     array = UniformLinearArray(center=Vec2(room.bounds.width / 2.0, 0.3))
     rng = np.random.default_rng(seed)
-    duration = 4.0
     n_slots = int(round(duration / 0.025))
 
     # (a) Stationary tag alone: stable multi-peak spectrum.
@@ -100,6 +110,7 @@ def run_fig02(quick: bool = True, seed: int = 0) -> ExperimentResult:
     )
 
 
+@declares(_fig03_budget)
 def run_fig03(quick: bool = True, seed: int = 0) -> ExperimentResult:
     """Fig. 3: phase-vs-frequency linearity of a stationary tag."""
     room = make_laboratory()
@@ -107,7 +118,7 @@ def run_fig03(quick: bool = True, seed: int = 0) -> ExperimentResult:
     rng = np.random.default_rng(seed)
     reader = Reader(ReaderConfig(array=array), room, seed=seed + 5)
     scene = stationary_scene([(make_tag("fig3", rng), (room.bounds.width / 2.0 + 1.0, 4.0))])
-    duration = 24.0 if quick else 60.0
+    duration = _fig03_budget(quick, seed)["duration_s"]
     log = reader.inventory(scene, duration)
 
     psi = fold_double(log.phase_rad)

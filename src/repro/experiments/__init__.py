@@ -25,6 +25,7 @@ from repro.experiments.report import (
 from repro.experiments.runner import (
     ExperimentBatchError,
     UnknownExperimentError,
+    bind_configs,
     default_registry,
     register_runner,
     run_batch,
@@ -48,6 +49,7 @@ __all__ = [
     "UnknownExperimentError",
     "aggregate_records",
     "atomic_write_text",
+    "bind_configs",
     "default_registry",
     "default_store_root",
     "make_spec",

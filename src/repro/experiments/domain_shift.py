@@ -33,7 +33,7 @@ from repro.core.config import M2AIConfig
 from repro.core.pipeline import M2AIPipeline
 from repro.data.generator import GenerationConfig, vary
 from repro.eval.harness import get_dataset
-from repro.eval.reporting import ExperimentResult, ExperimentRow
+from repro.eval.reporting import ExperimentResult, ExperimentRow, declares
 from repro.experiments.metrics import aggregate_records
 from repro.experiments.runner import register_runner, run_batch
 from repro.experiments.spec import make_spec
@@ -74,6 +74,23 @@ def _train_config(quick: bool, seed: int) -> M2AIConfig:
     return M2AIConfig(epochs=30 if quick else 50, batch_size=16, seed=seed)
 
 
+def _budget(
+    quick: bool = True,
+    seed: int = 0,
+    source: str = "laboratory",
+    target: str = "hall",
+    k_shot: "int | None" = None,
+) -> dict:
+    """Both corpora, the training config and the adaptation budget of one cell."""
+    return {
+        "source": _gen_config(quick, seed, environment=source),
+        "target": _gen_config(quick, seed, environment=target),
+        "training": _train_config(quick, seed),
+        "k_shot": k_shot if k_shot is not None else (2 if quick else 4),
+        "fine_tune_epochs": 15 if quick else 25,
+    }
+
+
 def k_shot_subset(dataset, k: int, seed: int):
     """``k`` seeded samples per class (all of them when a class has < k).
 
@@ -92,6 +109,7 @@ def k_shot_subset(dataset, k: int, seed: int):
     return dataset.subset(np.sort(np.asarray(chosen)))
 
 
+@declares(_budget)
 def run_domain_shift(
     quick: bool = True,
     seed: int = 0,
@@ -106,11 +124,12 @@ def run_domain_shift(
     """
     if source == target:
         raise ValueError("source and target must be different environments")
-    k = k_shot if k_shot is not None else (2 if quick else 4)
+    budget = _budget(quick, seed, source, target, k_shot)
+    k = budget["k_shot"]
 
-    source_ds = get_dataset(_gen_config(quick, seed, environment=source))
-    target_ds = get_dataset(_gen_config(quick, seed, environment=target))
-    training = _train_config(quick, seed)
+    source_ds = get_dataset(budget["source"])
+    target_ds = get_dataset(budget["target"])
+    training = budget["training"]
 
     src_train, src_test = source_ds.split(0.2, np.random.default_rng(seed))
     pipeline = M2AIPipeline(training).fit(src_train, val=src_test)
@@ -120,7 +139,7 @@ def run_domain_shift(
     cross_env = pipeline.evaluate(tgt_test).accuracy
 
     shots = k_shot_subset(adapt_pool, k, seed + 2)
-    pipeline.fine_tune(shots, epochs=15 if quick else 25)
+    pipeline.fine_tune(shots, epochs=budget["fine_tune_epochs"])
     adapted = pipeline.evaluate(tgt_test).accuracy
 
     gap = same_env - cross_env

@@ -20,6 +20,7 @@ same specs produce byte-identical record content regardless of
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import inspect
 import multiprocessing
@@ -28,13 +29,14 @@ import time
 import traceback
 from typing import Callable
 
-from repro.experiments.spec import ExperimentSpec, ResultRecord
+from repro.experiments.spec import ExperimentSpec, ResultRecord, config_digest
 from repro.experiments.store import ResultsStore
 
 __all__ = [
     "DEFAULT_REGISTRY_FACTORY",
     "ExperimentBatchError",
     "UnknownExperimentError",
+    "bind_configs",
     "default_registry",
     "register_runner",
     "resolve_registry_factory",
@@ -133,6 +135,28 @@ def validate_ids(
         raise UnknownExperimentError(unknown, list(registry))
 
 
+def bind_configs(
+    spec: ExperimentSpec, registry: dict[str, Callable]
+) -> ExperimentSpec:
+    """``spec`` with the digest of its driver's declared budget.
+
+    A driver declares its budget with
+    :func:`repro.eval.reporting.declares`; the digest folds the
+    ``GenerationConfig``/``M2AIConfig`` objects it would run with into
+    :attr:`ExperimentSpec.key`.  A driver that declares nothing leaves
+    the spec as it is.
+
+    Raises:
+        UnknownExperimentError: the spec's id is not registered.
+    """
+    validate_ids([spec.exp_id], registry)
+    budget = getattr(registry[spec.exp_id], "configs", None)
+    if budget is None:
+        return spec
+    declared = budget(quick=spec.mode == "quick", seed=spec.seed, **spec.overrides_dict())
+    return dataclasses.replace(spec, configs=config_digest(declared))
+
+
 def _call_runner(runner: Callable, spec: ExperimentSpec):
     """Invoke a driver with the spec's seed/mode and any overrides."""
     kwargs: dict[str, object] = {
@@ -170,7 +194,7 @@ def run_one(
         TypeError: the driver does not accept the spec's overrides.
     """
     registry = registry if registry is not None else default_registry()
-    validate_ids([spec.exp_id], registry)
+    spec = bind_configs(spec, registry)
     t0 = time.monotonic()
     result = _call_runner(registry[spec.exp_id], spec)
     elapsed = time.monotonic() - t0
@@ -238,10 +262,11 @@ def run_batch(
         registry = resolve_registry_factory(registry_factory)
     notify = on_event if on_event is not None else (lambda kind, spec, detail: None)
 
+    validate_ids(sorted({s.exp_id for s in specs}), registry)
     unique: dict[str, ExperimentSpec] = {}
     for spec in specs:
+        spec = bind_configs(spec, registry)
         unique.setdefault(spec.key, spec)
-    validate_ids(sorted({s.exp_id for s in unique.values()}), registry)
 
     done: dict[str, ResultRecord] = {}
     todo: list[ExperimentSpec] = []

@@ -10,6 +10,13 @@ fix for the old ``scripts/run_experiments.py`` cache, which keyed on
 the experiment id alone and silently served a quick-mode seed-0 block
 to a ``--full --seed 3`` rerun.
 
+The payload also carries a digest of the driver's declared budget
+(:func:`repro.eval.reporting.declares`): its ``GenerationConfig`` and
+``M2AIConfig`` objects and any budget constant outside them.  The
+runner fills it in (:func:`repro.experiments.runner.bind_configs`), so
+editing a driver's epoch count or corpus size changes the key and the
+store cannot serve the record of the old budget.
+
 Override values are restricted to JSON scalars so the canonical form
 (and therefore the hash) is unambiguous across processes and runs.
 """
@@ -24,6 +31,7 @@ __all__ = [
     "ExperimentSpec",
     "ResultRecord",
     "SPEC_SCHEMA",
+    "config_digest",
     "make_spec",
 ]
 
@@ -54,6 +62,15 @@ def _normalise_overrides(
     return tuple(sorted(items))
 
 
+def config_digest(budget: dict) -> str:
+    """Short content hash of a driver's declared budget.
+
+    Every config is a frozen dataclass of scalars and tuples, so its
+    ``repr`` is canonical (the corpus cache keys on it too).
+    """
+    return hashlib.sha256(repr(budget).encode()).hexdigest()[:12]
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One sweep cell: experiment id x mode x seed x overrides.
@@ -67,6 +84,8 @@ class ExperimentSpec:
             generation, as a sorted ``(name, value)`` tuple.
         train_overrides: extra keyword arguments for the driver's
             training configuration, same form.
+        configs: :func:`config_digest` of the driver's declared budget
+            for this cell; empty until the runner binds it.
     """
 
     exp_id: str
@@ -74,6 +93,7 @@ class ExperimentSpec:
     seed: int = 0
     gen_overrides: tuple[tuple[str, object], ...] = ()
     train_overrides: tuple[tuple[str, object], ...] = ()
+    configs: str = ""
 
     def __post_init__(self) -> None:
         if not self.exp_id:
@@ -90,6 +110,9 @@ class ExperimentSpec:
             "seed": self.seed,
             "gen_overrides": [list(kv) for kv in self.gen_overrides],
             "train_overrides": [list(kv) for kv in self.train_overrides],
+            # Absent when no budget is bound, so such a spec keeps the
+            # key it had before budgets were hashed.
+            **({"configs": self.configs} if self.configs else {}),
         }
 
     @property
@@ -119,6 +142,7 @@ class ExperimentSpec:
             train_overrides=tuple(
                 (str(k), v) for k, v in payload.get("train_overrides", [])
             ),
+            configs=str(payload.get("configs", "")),
         )
 
     def overrides_dict(self) -> dict[str, object]:

@@ -245,16 +245,18 @@ class Reader:
         """Render every tag track through the channel into ``records``.
 
         Split out of :meth:`inventory` so the ``ingest.inventory`` span
-        covers exactly the per-tag channel rendering.
+        covers exactly the channel rendering: one
+        :meth:`~repro.channel.model.MultipathChannel.one_way_gains` pass
+        over every tag, then the per-tag read impairments.
         """
-        for k, track in enumerate(scene.tag_tracks):
-            g = self.channel.one_way_gain(
-                ant_traj,
-                track.positions,
-                wavelengths,
-                bodies=scene.bodies,
-                carrier=track.carrier,
-            )
+        gains = self.channel.one_way_gains(
+            ant_traj,
+            [track.positions for track in scene.tag_tracks],
+            wavelengths,
+            bodies=scene.bodies,
+            carriers=[track.carrier for track in scene.tag_tracks],
+        )
+        for k, (track, g) in enumerate(zip(scene.tag_tracks, gains)):
             h = g * g
             phase = np.angle(h)
             if self.config.enable_hopping_offsets:

@@ -1,18 +1,19 @@
-"""Reference per-leg blockage: the parity oracle for the batched channel.
+"""Reference per-tag, per-leg channel: the parity oracle for the batched channel.
 
-Production evaluates every path leg against every blocker in one
-vectorised pass per blocker over a ``(legs × slots)`` table
-(:meth:`repro.channel.model.MultipathChannel.path_components`).  This
-module keeps the implementation that pass replaced — one
-:func:`crossing_mask` call per (leg, blocker) pair on ``(T, 2)``
-trajectories, and one helper per path family — so the tests compare the
-production path against an independent second implementation bit for
-bit instead of against itself.
+Production renders every tag of an inventory in one pass
+(:meth:`repro.channel.model.MultipathChannel.one_way_gains`): one
+geometry table over all (tag, slot) rows, and one vectorised pass per
+blocker over its ``(legs × rows)`` leg table.  This module keeps the
+implementations those passes replaced — one :func:`crossing_mask` call
+per (leg, blocker) pair on ``(T, 2)`` trajectories, one helper per path
+family, and one ``np.sum`` plus one diffuse draw per tag — so the tests
+compare the production path against an independent second
+implementation bit for bit instead of against itself.
 
-:func:`path_components` has the signature of the method it mirrors
-(with the channel as its first argument), so a test can install it on
-:class:`MultipathChannel` with ``monkeypatch`` and render whole corpora
-through the oracle.
+:func:`path_components` and :func:`one_way_gains` have the signatures of
+the methods they mirror (with the channel as their first argument), so a
+test can install them on :class:`MultipathChannel` with ``monkeypatch``
+and render whole corpora through the oracle.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def path_components(
     A one-position body track (a standing torso) is tiled over the time
     axis first, so every blocker is a full ``(T, 2)`` trajectory here.
     """
-    steps = channel._steps(antenna, tag, bodies)
+    steps = channel._steps(antenna, [tag], bodies)
     bodies = tuple(
         BodyTrack(np.tile(b.positions, (steps, 1)), b.radius) if b.steps == 1 else b
         for b in bodies
@@ -233,3 +234,35 @@ def path_components(
             )
         )
     return components
+
+
+def one_way_gains(
+    channel: MultipathChannel,
+    antenna: np.ndarray,
+    tags,
+    wavelength: np.ndarray | float,
+    bodies: tuple[BodyTrack, ...] = (),
+    carriers=None,
+    include_diffuse: bool = True,
+) -> np.ndarray:
+    """One tag at a time: the per-tag loop the batched entry point replaced.
+
+    Each tag sums its :func:`path_components` with ``np.sum`` and then
+    draws its diffuse clutter from ``channel.rng``, in tag order.  The
+    signature mirrors :meth:`MultipathChannel.one_way_gains`, so a test
+    can install this function on the class with ``monkeypatch``.
+    """
+    carriers = [None] * len(tags) if carriers is None else carriers
+    rows = []
+    for tag, carrier in zip(tags, carriers, strict=True):
+        comps = path_components(channel, antenna, tag, wavelength, bodies, carrier)
+        total = np.sum([c.gain for c in comps], axis=0)
+        if include_diffuse and channel.params.diffuse_level > 0.0:
+            steps = total.shape[0]
+            sigma = channel.params.diffuse_level * channel.params.reference_amplitude
+            noise = channel.rng.normal(0.0, sigma, steps) + 1j * channel.rng.normal(
+                0.0, sigma, steps
+            )
+            total = total + noise
+        rows.append(total)
+    return np.stack(rows)

@@ -1,14 +1,18 @@
-"""The batched leg × blocker channel against the per-leg oracle, byte for byte.
+"""The batched channel against the per-tag, per-leg oracle, byte for byte.
 
-Production renders every path leg against each blocker in one
-vectorised pass over a ``(legs × slots)`` table; the oracle in
-:mod:`tests.channel.blockage_oracle` evaluates one ``crossing_mask``
-call per (leg, blocker).  Every comparison here is on raw bytes: the
-batched path must not move a single bit of a gain, a read log or a
-feature frame.
+Production renders every tag of an inventory in one pass and every path
+leg against each blocker in one vectorised pass over a ``(legs × rows)``
+table; the oracle in :mod:`tests.channel.blockage_oracle` renders one tag
+at a time with one ``crossing_mask`` call per (leg, blocker).  Every
+comparison here is on raw bytes: the batched path must not move a single
+bit of a gain, a read log or a feature frame, nor change how far the
+channel's diffuse generator has advanced.
 """
 
 from __future__ import annotations
+
+import copy
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.channel import BodyTrack, ChannelParams, MultipathChannel
+from repro.channel import model as channel_model
 from repro.data.generator import GenerationConfig, SyntheticDatasetGenerator
 from repro.dsp.calibration import PhaseCalibrator
 from repro.geometry import Rectangle, Room, Scatterer, Vec2
@@ -61,18 +66,24 @@ def render(monkeypatch, cfg: GenerationConfig, order: int, oracle: bool):
 
         patch.setattr(Reader, "__init__", reader_init)
         if oracle:
-            patch.setattr(MultipathChannel, "path_components", blockage_oracle.path_components)
+            patch.setattr(MultipathChannel, "one_way_gains", blockage_oracle.one_way_gains)
             patch.setattr(PhaseCalibrator, "fit", staticmethod(calibration_oracle.fit))
         else:
-            # Every production render is also checked call by call.
-            batched = MultipathChannel.path_components
+            # Every production render is also checked call by call,
+            # diffuse draws included.
+            batched = MultipathChannel.one_way_gains
 
             def checked(self, *args, **kwargs):
+                before = copy.deepcopy(self.rng.bit_generator.state)
                 got = batched(self, *args, **kwargs)
-                assert_same_components(got, blockage_oracle.path_components(self, *args, **kwargs))
+                after = self.rng.bit_generator.state
+                self.rng.bit_generator.state = before
+                want = blockage_oracle.one_way_gains(self, *args, **kwargs)
+                assert got.tobytes() == want.tobytes()
+                assert self.rng.bit_generator.state == after
                 return got
 
-            patch.setattr(MultipathChannel, "path_components", checked)
+            patch.setattr(MultipathChannel, "one_way_gains", checked)
         generator = SyntheticDatasetGenerator(cfg)
         raw = generator.generate_raw()
         return raw, generator.featurize(raw)
@@ -236,6 +247,68 @@ def test_stationary_scenes_match_oracle(scene):
     assert_same_components(got, want)
 
 
+# -- whole inventories ------------------------------------------------------------
+
+
+@st.composite
+def inventories(draw):
+    """Every tag of one inventory: still TDM scenes and moving ones, 1-9 tags."""
+    steps = draw(st.integers(min_value=1, max_value=6))
+    still = draw(st.booleans())
+    n = draw(st.integers(min_value=2, max_value=4))
+    ports = np.array([draw(grid_point) for _ in range(n)])
+    antenna = ports[np.arange(steps) % n]
+    tags = [
+        np.array(draw(grid_point))
+        if still or draw(st.booleans())
+        else np.array([draw(grid_point) for _ in range(steps)])
+        for _ in range(draw(st.integers(min_value=1, max_value=9)))
+    ]
+    scatterers = tuple(
+        Scatterer(Vec2(*draw(grid_point)), draw(st.sampled_from([0.2, 0.5, 1.0])), 0.6)
+        for _ in range(draw(st.integers(min_value=0, max_value=3)))
+    )
+    bodies = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kinds = ["standing", "on_tag"] if still else ["standing", "walking", "on_tag"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "standing":
+            positions = np.array([draw(grid_point)])
+        elif kind == "walking":
+            positions = np.array([draw(grid_point) for _ in range(steps)])
+        else:
+            positions = np.atleast_2d(tags[draw(st.integers(0, len(tags) - 1))])
+        bodies.append(BodyTrack(positions, radius=draw(st.sampled_from([0.18, 0.5]))))
+    carriers = [draw(st.sampled_from([None, *range(len(bodies))])) for _ in tags]
+    room = Room(
+        bounds=ROOM,
+        wall_reflectivity=draw(st.sampled_from([0.0, 0.45])),
+        scatterers=scatterers,
+    )
+    channel = MultipathChannel(
+        room=room,
+        params=ChannelParams(diffuse_level=draw(st.sampled_from([0.0, 0.05]))),
+        rng=np.random.default_rng(draw(st.integers(0, 2**16))),
+        max_reflection_order=draw(st.sampled_from([1, 2])),
+    )
+    lam = np.linspace(0.32, 0.34, steps) if draw(st.booleans()) else 0.328
+    budget = draw(st.sampled_from([1, 2, 5, channel_model.ROW_BUDGET]))
+    return channel, antenna, tags, lam, tuple(bodies), carriers, budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(inventories())
+def test_random_inventories_match_oracle(inventory):
+    channel, antenna, tags, lam, bodies, carriers, budget = inventory
+    twin = copy.deepcopy(channel)
+    with mock.patch.object(channel_model, "ROW_BUDGET", budget):
+        got = channel.one_way_gains(antenna, tags, lam, bodies, carriers)
+    want = blockage_oracle.one_way_gains(twin, antenna, tags, lam, bodies, carriers)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert channel.rng.bit_generator.state == twin.rng.bit_generator.state
+
+
 def leg_table_widths(monkeypatch, scene: Scene, duration_s: float) -> tuple[int, list[int]]:
     """Render ``scene`` through a four-port reader; return its slots and leg-table widths."""
     widths: list[int] = []
@@ -269,9 +342,11 @@ def test_stationary_inventory_computes_geometry_per_antenna(monkeypatch):
     )
     slots, widths = leg_table_widths(monkeypatch, scene, 20.0)
     assert slots == 800
-    assert len(widths) == 2 and max(widths) <= 4
+    # One pass for the whole inventory: one table of (tag, antenna) rows.
+    assert len(widths) == 1 and widths[0] <= 4 * 2
 
-    # The same people walking: one leg-table column per slot.
+    # The same people walking: the tags stacked along the slot axis and
+    # cut into tables under the row budget.
     walk = np.linspace([2.5, 2.0], [3.5, 2.5], slots)
     moving = Scene(
         tag_tracks=(
@@ -280,5 +355,7 @@ def test_stationary_inventory_computes_geometry_per_antenna(monkeypatch):
         ),
         bodies=(BodyTrack(walk),),
     )
-    assert leg_table_widths(monkeypatch, moving, 20.0)[1] == [slots, slots]
+    cuts = leg_table_widths(monkeypatch, moving, 20.0)[1]
+    assert max(cuts) <= channel_model.ROW_BUDGET and sum(cuts) == 2 * slots
+    assert len(cuts) == -(-2 * slots // channel_model.ROW_BUDGET)
     assert leg_table_widths(monkeypatch, moving.frozen(), 20.0)[1] == widths

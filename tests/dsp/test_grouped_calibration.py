@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dsp import PhaseCalibrator, circular_median, grouped_circular_median
+from repro.dsp.calibration import _AntennaCalibration, _fit_antenna
 from repro.geometry import Vec2, make_laboratory, make_open_space
 from repro.hardware import Reader, ReaderConfig, UniformLinearArray, make_tag, stationary_scene
 from tests.dsp import calibration_oracle
@@ -137,3 +138,63 @@ class TestGroupedCircularMedian:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             grouped_circular_median(np.zeros(3), np.zeros(2, dtype=np.int64))
+
+
+class TestResolvedOffsets:
+    """The masked fallback table against the per-channel ``offset_for`` chain."""
+
+    FREQS = 902.75e6 + 0.5e6 * np.arange(8)
+
+    @staticmethod
+    def assert_matches_chain(table: _AntennaCalibration, freqs: np.ndarray) -> None:
+        want = np.array([table.offset_for(c, freqs) for c in range(freqs.size)])
+        assert table.resolved_offsets(freqs).tobytes() == want.tobytes()
+
+    def test_observed(self):
+        offsets = np.linspace(-3.0, 3.0, self.FREQS.size)
+        table = _fit_antenna(offsets, self.FREQS)
+        assert table.has_fit
+        self.assert_matches_chain(table, self.FREQS)
+        assert table.resolved_offsets(self.FREQS).tobytes() == offsets.tobytes()
+
+    def test_linear_fit(self):
+        offsets = 0.01 * np.arange(self.FREQS.size) ** 2
+        offsets[[0, 3, 7]] = np.nan
+        table = _fit_antenna(offsets, self.FREQS)
+        assert table.has_fit
+        self.assert_matches_chain(table, self.FREQS)
+
+    def test_nearest_observed_first_on_ties(self):
+        offsets = np.full(self.FREQS.size, np.nan)
+        offsets[[1, 3, 6]] = [0.4, -0.0, 2.5]
+        table = _fit_antenna(offsets, self.FREQS)
+        assert not table.has_fit
+        # Channel 2 is as far from channel 1 as from channel 3: the first wins.
+        assert table.resolved_offsets(self.FREQS)[2] == 0.4
+        self.assert_matches_chain(_fit_antenna(offsets, self.FREQS), self.FREQS)
+
+    def test_nothing_observed(self):
+        table = _fit_antenna(np.full(self.FREQS.size, np.nan), self.FREQS)
+        self.assert_matches_chain(table, self.FREQS)
+        assert not table.resolved_offsets(self.FREQS).any()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=6),
+                st.one_of(st.none(), st.floats(min_value=-7.0, max_value=7.0)),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.booleans(),
+    )
+    def test_property_matches_chain(self, channels, force_no_fit):
+        # Coarse frequencies make equidistant (tied) neighbours common.
+        freqs = 902.75e6 + 0.5e6 * np.array([k for k, _ in channels], dtype=np.float64)
+        offsets = np.array([np.nan if v is None else v for _, v in channels])
+        table = _fit_antenna(offsets, freqs)
+        if force_no_fit:
+            table = _AntennaCalibration(offsets, 0.0, 0.0, has_fit=False)
+        self.assert_matches_chain(table, freqs)

@@ -58,7 +58,6 @@ def test_no_circular_import_order_sensitivity():
         "repro.dsp.localization",
         "repro.core.streaming",
         "repro.hardware.trace_io",
-        "repro.core.ensemble",
         "repro.faults.injectors",
         "repro.eval.robustness",
     ):
