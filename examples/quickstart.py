@@ -54,11 +54,16 @@ def main() -> None:
     print(f"Simulated + featurised {len(dataset)} samples "
           f"in {time.perf_counter() - t0:.0f} s; channels: {dataset.channel_shapes}")
 
-    train, test = dataset.split(0.2, np.random.default_rng(args.seed))
-    print(f"Training M2AI (CNN+LSTM) on {len(train)} samples ...")
+    rng = np.random.default_rng(args.seed)
+    train, test = dataset.split(0.2, rng)
+    # The best epoch is chosen on val, carved out of train: the test
+    # split stays unseen until the final score.
+    train, val = train.split(0.2, rng)
+    print(f"Training M2AI (CNN+LSTM) on {len(train)} samples "
+          f"({len(val)} held out for epoch selection) ...")
     t0 = time.perf_counter()
     pipeline = M2AIPipeline(M2AIConfig(epochs=35, batch_size=12, seed=args.seed))
-    pipeline.fit(train, val=test)
+    pipeline.fit(train, val=val)
     result = pipeline.evaluate(test)
     print(f"Done in {time.perf_counter() - t0:.0f} s.")
     print(f"\nHeld-out accuracy: {result.accuracy:.1%}  "

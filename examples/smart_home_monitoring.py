@@ -40,9 +40,12 @@ def main() -> None:
         print(f"  {label}: {SCENARIOS[label].description}")
     dataset = generator.generate()
     train, test = dataset.split(0.2, rng)
+    # The best epoch is chosen on val, carved out of train, so the
+    # held-out score below comes from recordings no choice has seen.
+    train, val = train.split(0.2, rng)
     pipeline = M2AIPipeline(M2AIConfig(epochs=35, batch_size=12, seed=3))
-    pipeline.fit(train, val=test)
-    print(f"Monitor ready (validation accuracy "
+    pipeline.fit(train, val=val)
+    print(f"Monitor ready (held-out accuracy "
           f"{pipeline.evaluate(test).accuracy:.0%}).\n")
 
     print("Streaming session: residents change activity every window.")

@@ -25,7 +25,8 @@ Quickstart::
 
     dataset = SyntheticDatasetGenerator(tiny_generation()).generate()
     train, test = dataset.split(0.2)
-    pipeline = M2AIPipeline().fit(train, val=test)
+    train, val = train.split(0.2)  # pick the epoch on val, never on test
+    pipeline = M2AIPipeline().fit(train, val=val)
     print(pipeline.evaluate(test).accuracy)
 """
 

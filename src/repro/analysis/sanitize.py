@@ -158,12 +158,17 @@ def _wrap_forward(cls: type[Module], orig: Callable, cfg: _Config) -> Callable:
         if cfg.check_dtypes:
             # Own parameters only: each wrapped layer checks its own, so
             # a narrow serve model trips at the first layer that runs
-            # without paying a full recursive walk per call.
+            # without paying a full recursive walk per call.  Layers a
+            # module runs inline (``Module.fused``) never enter their own
+            # wrapper, so their parameters are checked here.
             for attr_name, attr in vars(self).items():
                 if isinstance(attr, Parameter):
                     _check_array(
                         attr.value, stage, f"value of {attr.name or attr_name}", cfg
                     )
+            for child in self.fused:
+                for p in getattr(self, child).parameters():
+                    _check_array(p.value, stage, f"value of {p.name or child}", cfg)
         out = orig(self, *args, **kwargs)
         _check_array(out, stage, "output", cfg)
         if isinstance(x, np.ndarray):

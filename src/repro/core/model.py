@@ -17,17 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import M2AIConfig
-from repro.nn.conv import Conv1d, MaxPool1d
-from repro.nn.layers import Dense, Dropout, Flatten, ReLU
+from repro.nn.conv import CHUNK, Conv1d, MaxPool1d
+from repro.nn.layers import Dense, Dropout, Flatten, ReLU, relu, relu_grad
 from repro.nn.module import Module, Sequential
 from repro.nn.recurrent import LSTM
 from repro.obs.tracing import span
 
 MODEL_MODES = ("cnn_lstm", "cnn", "lstm")
-
-
-def _conv_out_length(length: int, kernel: int, stride: int, padding: int) -> int:
-    return (length + 2 * padding - kernel) // stride + 1
 
 
 class _Branch(Module):
@@ -48,42 +44,130 @@ class _Branch(Module):
         return self.net.backward(grad, input_grad=input_grad)
 
 
-class ConvBranch(_Branch):
+class ConvBranch(Module):
     """CNN encoder for one wide channel: ``(B', n_tags, D) -> (B', out)``.
 
     Realises the paper's CONV-E stack: two strided convolutions over the
-    angle axis with the tags as input channels, max-pooled, flattened
-    and projected.
+    angle axis with the tags as input channels, max-pooled when wide,
+    flattened and projected.
+
+    The conv stack is walked one chunk of :data:`repro.nn.conv.CHUNK`
+    samples at a time through conv1 -> ReLU -> conv2 -> ReLU (-> pool),
+    forward and backward, so every intermediate of a chunk stays in
+    cache; only the relu1 output (channel-major ``(C1, B', L1)``) and
+    the fc input ``(B', C2·L2)`` are whole-batch.  Each GEMM sees the
+    same operands and chunk boundaries as the layer-at-a-time walk, and
+    each ``dW`` adds its chunks in the same order, so the result is
+    bit-equal to it (``tests/nn/branch_oracle.py`` is that walk).
     """
+
+    fused = ("conv1", "conv2")
 
     def __init__(
         self, n_tags: int, width: int, cfg: M2AIConfig, rng: np.random.Generator, name: str
     ) -> None:
         c1, c2 = cfg.conv_channels
         k1, k2 = cfg.conv_kernels
-        length = width
-        layers: list[Module] = []
         # Resolution matters: pseudospectrum peaks move by a handful of
         # 1-degree bins per activity, so the stack keeps stride 1 on the
         # first stage and downsamples only once.  Aggressive pooling
         # (a 16x reduction) measurably destroys the class signal.
-        layers.append(
-            Conv1d(n_tags, c1, k1, rng, stride=1, padding=k1 // 2, name=f"{name}.conv1")
-        )
-        length = _conv_out_length(length, k1, 1, k1 // 2)
-        layers.append(ReLU())
-        layers.append(
-            Conv1d(c1, c2, k2, rng, stride=2, padding=k2 // 2, name=f"{name}.conv2")
-        )
-        length = _conv_out_length(length, k2, 2, k2 // 2)
-        layers.append(ReLU())
-        if length > 128:
-            layers.append(MaxPool1d(2))
+        self.conv1 = Conv1d(n_tags, c1, k1, rng, stride=1, padding=k1 // 2, name=f"{name}.conv1")
+        self.conv2 = Conv1d(c1, c2, k2, rng, stride=2, padding=k2 // 2, name=f"{name}.conv2")
+        length = self.conv2.out_length(self.conv1.out_length(width))
+        self.pool = MaxPool1d(2) if length > 128 else None
+        if self.pool is not None:
             length //= 2
-        layers.append(Flatten())
-        layers.append(Dense(c2 * length, cfg.branch_dim, rng, relu_init=True, name=f"{name}.fc"))
-        layers.append(ReLU())
-        self.net = Sequential(*layers)
+        self.fc = Dense(c2 * length, cfg.branch_dim, rng, relu_init=True, name=f"{name}.fc")
+        self.relu = ReLU()
+        self._cache: tuple[np.ndarray, ...] | None = None
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        """Forward pass (caches what :meth:`backward` needs)."""
+        conv1, conv2, pool = self.conv1, self.conv2, self.pool
+        batch, _, width = x.shape
+        c1, c2 = conv1.out_channels, conv2.out_channels
+        l1 = conv1.out_length(width)
+        l2 = conv2.out_length(l1)
+        l_fc = l2 // 2 if pool is not None else l2
+        d1 = np.result_type(x.dtype, conv1.weight.value.dtype)
+        d2 = np.result_type(d1, conv2.weight.value.dtype)
+        w1, w2 = conv1.weight_matrix(d1), conv2.weight_matrix(d2)
+        chunk = min(batch, CHUNK)
+        col1 = np.empty(conv1.col_size(chunk, width), dtype=d1)
+        col2 = np.empty(conv2.col_size(chunk, l1), dtype=d2)
+        out1 = np.empty(c1 * chunk * l1, dtype=d1)
+        out2 = np.empty(c2 * chunk * l2, dtype=d2)
+        h1 = np.empty((c1, batch, l1), dtype=d1)
+        feats = np.empty((batch, c2 * l_fc), dtype=d2)
+        argmax = None if pool is None else np.empty((c2, batch, l_fc), dtype=np.intp)
+        for start in range(0, batch, chunk):
+            stop = min(start + chunk, batch)
+            h = h1[:, start:stop]
+            relu(conv1.forward_chunk(x[start:stop].transpose(1, 0, 2), w1, col1, out1), out=h)
+            y2 = conv2.forward_chunk(h, w2, col2, out2)
+            relu(y2, out=y2)
+            f = feats[start:stop].reshape(stop - start, c2, l_fc).transpose(1, 0, 2)
+            if pool is None:
+                f[...] = y2
+            else:
+                f[...], argmax[:, start:stop] = pool.pool(y2)
+        self._cache = (x, h1, feats, argmax)
+        return self.relu.forward(self.fc.forward(feats, training=training), training=training)
+
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Backprop through the cached forward pass; returns the input gradient.
+
+        ``input_grad=False`` skips conv1's ``dcols`` GEMM and col2im,
+        accumulates only the parameter gradients, and returns None.
+        """
+        if self._cache is None:
+            raise RuntimeError("backward before forward")
+        x, h1, feats, argmax = self._cache
+        conv1, conv2, pool = self.conv1, self.conv2, self.pool
+        dfeats = self.fc.backward(self.relu.backward(grad))
+        batch, channels, width = x.shape
+        c1, l1 = h1.shape[0], h1.shape[2]
+        c2, l2 = conv2.out_channels, conv2.out_length(l1)
+        l_fc = feats.shape[1] // c2
+        dtype = np.result_type(dfeats.dtype, h1.dtype, conv2.weight.value.dtype)
+        dw1 = np.zeros((c1, channels * conv1.kernel + 1), dtype=dtype)
+        dw2 = np.zeros((c2, c1 * conv2.kernel + 1), dtype=dtype)
+        chunk = min(batch, CHUNK)
+        col1 = np.empty(conv1.col_size(chunk, width), dtype=dtype)
+        col2 = np.empty(conv2.col_size(chunk, l1), dtype=dtype)
+        g2_buf = np.empty(c2 * chunk * l_fc, dtype=dtype)
+        dh_buf = np.empty(c1 * chunk * l1, dtype=dtype)
+        g1_buf = np.empty(c1 * chunk * l1, dtype=dtype)
+        dx = dx_buf = None
+        if input_grad:
+            dx_buf = np.empty(channels * chunk * width, dtype=dtype)
+            dx = np.empty(x.shape, dtype=dtype)
+        for start in range(0, batch, chunk):
+            stop = min(start + chunk, batch)
+            b = stop - start
+            h = h1[:, start:stop]
+            g2 = relu_grad(
+                dfeats[start:stop].reshape(b, c2, l_fc).transpose(1, 0, 2),
+                feats[start:stop].reshape(b, c2, l_fc).transpose(1, 0, 2),
+                out=g2_buf[: c2 * b * l_fc].reshape(c2, b, l_fc),
+            )
+            if pool is not None:
+                g2 = pool.unpool(g2, argmax[:, start:stop], l2)
+            dh = dh_buf[: c1 * b * l1].reshape(c1, b, l1)
+            conv2.backward_chunk(g2.reshape(c2, b * l2), h, dw2, col2, dh)
+            g1 = relu_grad(dh, h, out=g1_buf[: c1 * b * l1].reshape(c1, b, l1))
+            dx_cm = None
+            if dx_buf is not None:
+                dx_cm = dx_buf[: channels * b * width].reshape(channels, b, width)
+            conv1.backward_chunk(
+                g1.reshape(c1, b * l1), x[start:stop].transpose(1, 0, 2), dw1, col1, dx_cm
+            )
+            if dx is not None:
+                dx[start:stop] = dx_cm.transpose(1, 0, 2)
+        conv2.add_grads(dw2)
+        conv1.add_grads(dw1)
+        return dx
 
 
 class DenseBranch(_Branch):

@@ -31,6 +31,7 @@ __all__ = [
     "ExperimentSpec",
     "ResultRecord",
     "SPEC_SCHEMA",
+    "StaleRecordError",
     "config_digest",
     "make_spec",
 ]
@@ -179,6 +180,15 @@ RECORD_SCHEMA = 1
 """On-disk record format version (see :class:`ResultRecord`)."""
 
 
+class StaleRecordError(ValueError):
+    """A record that parses but is keyed differently from its content.
+
+    Its stored key, or the key it is filed under, is not the content key
+    of its spec: it was written under an older key scheme, or copied
+    under another key.  It is readable, but must not be served.
+    """
+
+
 @dataclass
 class ResultRecord:
     """The durable outcome of running one spec.
@@ -258,6 +268,8 @@ class ResultRecord:
         """Parse a serialised record.
 
         Raises:
+            StaleRecordError: the record parses, but the key stored with
+                it is not its spec's content key (see there).
             ValueError: malformed JSON or a missing/mismatched field.
         """
         payload = json.loads(text)
@@ -265,7 +277,7 @@ class ResultRecord:
             raise ValueError("record payload is not a spec-bearing object")
         spec = ExperimentSpec.from_payload(payload["spec"])
         if payload.get("key") != spec.key:
-            raise ValueError(
+            raise StaleRecordError(
                 f"stored key {payload.get('key')!r} does not match the "
                 f"spec's content key {spec.key!r}"
             )

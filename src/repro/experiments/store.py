@@ -3,10 +3,15 @@
 Every record is published atomically (temp file in the same directory,
 then ``os.replace`` — the pattern :mod:`repro.core.serialization` uses
 for checkpoints), so a reader can never observe a half-written record
-and a crash mid-write never corrupts an existing one.  Unreadable
-records — a partial file from a hard power cut, a hand-edited file, a
-schema mismatch — are **quarantined** (renamed to ``<key>.corrupt``)
-with a warning instead of crashing the run; the cell simply reruns.
+and a crash mid-write never corrupts an existing one.  Records that
+cannot be served are **quarantined** by :meth:`ResultsStore.get`
+(renamed to ``<key>.corrupt``) with a warning instead of crashing the
+run, and the cell simply reruns.  The warning tells the two kinds
+apart: *unreadable* (a partial file from a hard power cut, a
+hand-edited file, a schema mismatch) and *stale* (a record that parses
+but whose key moved, say under an older key scheme).
+:meth:`ResultsStore.survey` reports both kinds without renaming
+anything.
 
 This replaces the old ``experiment_state.json`` monolith, which was
 rewritten wholesale with ``Path.write_text`` after every experiment: a
@@ -19,12 +24,14 @@ from __future__ import annotations
 import os
 import tempfile
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.experiments.spec import ResultRecord
+from repro.experiments.spec import ResultRecord, StaleRecordError
 
 __all__ = [
     "ResultsStore",
+    "StoreSurvey",
     "atomic_write_text",
     "default_store_root",
 ]
@@ -60,6 +67,22 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+@dataclass(frozen=True)
+class StoreSurvey:
+    """A read-only census of a store (see :meth:`ResultsStore.survey`).
+
+    Attributes:
+        records: every servable record, sorted by key.
+        stale: keys of records that parse but are keyed differently
+            from their content.
+        unreadable: keys of files that do not parse as a record.
+    """
+
+    records: list[ResultRecord]
+    stale: list[str]
+    unreadable: list[str]
+
+
 class ResultsStore:
     """Directory of durable :class:`~repro.experiments.spec.ResultRecord`s.
 
@@ -86,35 +109,65 @@ class ResultsStore:
         atomic_write_text(path, record.to_json())
         return path
 
-    def get(self, key: str) -> "ResultRecord | None":
-        """The record for a key, or None when absent or unreadable.
+    def _load(self, key: str) -> "ResultRecord | None":
+        """The record for a key, or None when absent.
 
-        An unreadable record is quarantined to ``<key>.corrupt`` with a
-        :class:`RuntimeWarning` so the caller regenerates the cell
-        instead of crashing on someone else's torn write.
+        Raises:
+            StaleRecordError: the file parses but is keyed differently.
+            ValueError: the file does not parse as a record.
         """
-        path = self.path_for(key)
         try:
-            text = path.read_text()
+            text = self.path_for(key).read_text()
         except FileNotFoundError:
             return None
+        record = ResultRecord.from_json(text)
+        if record.spec.key != key:
+            raise StaleRecordError(f"record content belongs to key {record.spec.key!r}")
+        return record
+
+    def get(self, key: str) -> "ResultRecord | None":
+        """The record for a key, or None when absent, stale or unreadable.
+
+        A record that cannot be served is quarantined to
+        ``<key>.corrupt`` with a :class:`RuntimeWarning` that calls it
+        stale or unreadable, so the caller regenerates the cell instead
+        of crashing on someone else's torn write.
+        """
         try:
-            record = ResultRecord.from_json(text)
-            if record.spec.key != key:
-                raise ValueError(
-                    f"record content belongs to key {record.spec.key!r}"
-                )
-            return record
+            return self._load(key)
         except ValueError as exc:
+            kind = "stale" if isinstance(exc, StaleRecordError) else "unreadable"
+            path = self.path_for(key)
             quarantine = path.with_suffix(".corrupt")
             os.replace(path, quarantine)
             warnings.warn(
-                f"unreadable experiment record {path.name} "
+                f"{kind} experiment record {path.name} "
                 f"({exc}); moved to {quarantine.name}, the cell will rerun",
                 RuntimeWarning,
                 stacklevel=2,
             )
             return None
+
+    def survey(self) -> StoreSurvey:
+        """Classify every record file without quarantining or warning.
+
+        The read-only twin of :meth:`records`, for checks that must not
+        change the store they inspect.
+        """
+        records: list[ResultRecord] = []
+        stale: list[str] = []
+        unreadable: list[str] = []
+        for key in self.keys():
+            try:
+                record = self._load(key)
+            except StaleRecordError:
+                stale.append(key)
+            except ValueError:
+                unreadable.append(key)
+            else:
+                if record is not None:
+                    records.append(record)
+        return StoreSurvey(records=records, stale=stale, unreadable=unreadable)
 
     def keys(self) -> list[str]:
         """Sorted keys of every readable-looking record file."""

@@ -4,20 +4,31 @@ The paper's CONV-E1/E2/E3 layers slide over the 180-angle axis of the
 pseudospectrum frame; 1-D convolution over that axis with the tag axis
 as channels realises the same structure.
 
-:class:`Conv1d` is a chunked im2col kernel.  The batch is walked in
-fixed chunks of :data:`CHUNK` samples; each chunk's padded input is
-gathered channel-major into ``cols (C·K, b·L_out)`` by ``K`` strided
-copies, so the layer is one ``(C_out, C·K) @ cols`` GEMM forward and
-two GEMMs backward (``dW`` and ``dcols``, then a ``K``-tap col2im add);
-a ones row appended to ``cols`` carries the bias and its gradient
-through the same GEMMs.  Chunking keeps the column buffer ~1 MB,
-inside cache: an unchunked im2col buffer is ``K`` times the whole
-input (tens of MB at serve batch sizes) and its copies cost what the
-single GEMM saves.  The per-tap kernel it replaced is the parity
-oracle in ``tests/nn/conv_oracle.py``.
+:class:`Conv1d` is a chunked im2col kernel.  A batch is walked in fixed
+chunks of :data:`CHUNK` samples.  Each chunk's input, channel-major
+``(C, b, L)``, is gathered into ``cols (C·K + 1, b·L_out)`` by ``K``
+strided copies; taps that fall in the zero padding are zero-filled in
+``cols`` itself, so no padded copy of the input is made or cached.  The
+layer is then one ``[W|b] @ cols`` GEMM forward (the ones row of
+``cols`` carries the bias) and two GEMMs backward (``[dW|db]`` and
+``dcols``, then a ``K``-tap col2im add).  Chunking keeps the column
+buffer ~2 MB (43 rows x 32 x 180 columns x 8 B for the first
+pseudospectrum stage), inside cache: an unchunked im2col buffer is
+``K`` times the whole input (tens of MB at serve batch sizes) and its
+copies cost what the single GEMM saves.
+
+The per-chunk kernel is public (:meth:`Conv1d.forward_chunk`,
+:meth:`Conv1d.backward_chunk`) so that a conv stack can walk each chunk
+through all of its layers while the chunk is still in cache
+(:class:`repro.core.model.ConvBranch`); :meth:`Conv1d.forward` and
+:meth:`Conv1d.backward` are the one-layer walk over the same kernel.
+The per-tap kernel it replaced is the parity oracle in
+``tests/nn/conv_oracle.py``.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +47,27 @@ def _out_length(length: int, kernel: int, stride: int, padding: int) -> int:
             f"stride={stride}, pad={padding})"
         )
     return out
+
+
+@lru_cache(maxsize=64)
+def _tap_plan(
+    kernel: int, stride: int, padding: int, length: int
+) -> tuple[tuple[int, int, int, slice], ...]:
+    """Per tap ``k``: ``(k, o_lo, o_hi, source)``.
+
+    Output columns ``o_lo:o_hi`` of tap ``k`` read the input at
+    ``source`` (a strided slice of the unpadded axis); the columns
+    outside that range read padding and are zero.
+    """
+    l_out = _out_length(length, kernel, stride, padding)
+    plan = []
+    for k in range(kernel):
+        o_lo = min(l_out, max(0, -((k - padding) // stride)))
+        o_hi = max(o_lo, min(l_out, (length - 1 - k + padding) // stride + 1))
+        first = o_lo * stride + k - padding
+        stop = first + stride * (o_hi - o_lo - 1) + 1 if o_hi > o_lo else first
+        plan.append((k, o_lo, o_hi, slice(first, stop, stride)))
+    return tuple(plan)
 
 
 class Conv1d(Module):
@@ -64,29 +96,110 @@ class Conv1d(Module):
             name=f"{name}.W",
         )
         self.bias = Parameter(np.zeros(out_channels), name=f"{name}.b")
-        self._x_pad: np.ndarray | None = None
-        self._x_shape: tuple[int, ...] | None = None
+        self._x: np.ndarray | None = None
 
-    def _im2col(self, x_pad: np.ndarray, l_out: int, buf: np.ndarray) -> np.ndarray:
-        """Gather one chunk's columns channel-major into ``buf``.
+    def out_length(self, length: int) -> int:
+        """Output length for an input of ``length``."""
+        return _out_length(length, self.kernel, self.stride, self.padding)
 
-        ``x_pad`` is a padded ``(b, C, L_pad)`` chunk and ``buf`` a flat
-        scratch buffer of at least ``(C·K + 1)·b·L_out`` elements.
-        Returns the columns, shape: ``(C*K + 1, b*L_out)``; row
-        ``c·K + k`` holds tap ``k`` of channel ``c``, matching the free
-        contiguous view ``weight.reshape(C_out, C·K)``, and the last row
-        is ones, so the bias rides in the same GEMM (forward) and its
-        gradient falls out of the ``dW`` GEMM (backward).
+    def col_size(self, chunk: int, length: int) -> int:
+        """Elements of a column buffer for chunks of ``chunk`` samples of ``length``."""
+        return (self.in_channels * self.kernel + 1) * chunk * self.out_length(length)
+
+    def weight_matrix(self, dtype: np.dtype) -> np.ndarray:
+        """``[W|b]`` in ``dtype``, the forward GEMM's left side, shape: ``(C_out, C*K + 1)``."""
+        c_out, rows = self.out_channels, self.in_channels * self.kernel
+        w_bias = np.empty((c_out, rows + 1), dtype=dtype)
+        w_bias[:, :rows] = self.weight.value.reshape(c_out, rows)
+        w_bias[:, rows] = self.bias.value
+        return w_bias
+
+    def _im2col(self, x_cm: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """Gather one chunk's columns into ``buf``.
+
+        ``x_cm`` is a channel-major ``(C, b, L)`` chunk (any strides) and
+        ``buf`` a flat scratch buffer of at least :meth:`col_size`
+        elements.  Returns the columns, shape: ``(C*K + 1, b*L_out)``;
+        row ``c·K + k`` holds tap ``k`` of channel ``c``, matching the
+        free contiguous view ``weight.reshape(C_out, C·K)``, with the
+        taps that read padding zero-filled, and the last row is ones, so
+        the bias rides in the same GEMM (forward) and its gradient falls
+        out of the ``dW`` GEMM (backward).
         """
-        b, channels, _ = x_pad.shape
+        channels, b, length = x_cm.shape
+        l_out = self.out_length(length)
         rows = channels * self.kernel
         cols = buf[: (rows + 1) * b * l_out].reshape(rows + 1, b * l_out)
         cols[rows] = 1.0
         taps = cols[:rows].reshape(channels, self.kernel, b, l_out)
-        x_cm = x_pad.transpose(1, 0, 2)  # (C, b, L_pad) view
-        for k in range(self.kernel):
-            taps[:, k] = x_cm[:, :, k : k + self.stride * l_out : self.stride]
+        for k, o_lo, o_hi, source in _tap_plan(self.kernel, self.stride, self.padding, length):
+            taps[:, k, :, :o_lo] = 0.0
+            taps[:, k, :, o_lo:o_hi] = x_cm[:, :, source]
+            taps[:, k, :, o_hi:] = 0.0
         return cols
+
+    def forward_chunk(
+        self, x_cm: np.ndarray, w_bias: np.ndarray, col_buf: np.ndarray, out_buf: np.ndarray
+    ) -> np.ndarray:
+        """One chunk forward: ``[W|b] @ cols`` into ``out_buf``.
+
+        Args:
+            x_cm: channel-major input chunk, shape: ``(C, b, L)``.
+            w_bias: :meth:`weight_matrix` in the output dtype.
+            col_buf: flat column scratch (:meth:`col_size` elements).
+            out_buf: flat output scratch, ``C_out·b·L_out`` elements or more.
+
+        Returns:
+            The chunk output, channel-major, shape: ``(C_out, b, L_out)``
+            (a view of ``out_buf``).
+        """
+        cols = self._im2col(x_cm, col_buf)
+        c_out, width = self.out_channels, cols.shape[1]
+        out = out_buf[: c_out * width].reshape(c_out, width)
+        np.matmul(w_bias, cols, out=out)
+        return out.reshape(c_out, x_cm.shape[1], width // x_cm.shape[1])
+
+    def backward_chunk(
+        self,
+        g_mat: np.ndarray,
+        x_cm: np.ndarray,
+        dw_bias: np.ndarray,
+        col_buf: np.ndarray,
+        dx_cm: np.ndarray | None = None,
+    ) -> None:
+        """One chunk backward: accumulate ``[dW|db]``, optionally write ``dx``.
+
+        Args:
+            g_mat: the chunk's output gradient, contiguous, shape:
+                ``(C_out, b*L_out)``.
+            x_cm: the chunk's forward input, channel-major, shape:
+                ``(C, b, L)``.
+            dw_bias: ``(C_out, C·K + 1)`` accumulator; this chunk's
+                ``g_mat @ cols.T`` is added to it, so chunks add in the
+                order they are walked (see :meth:`add_grads`).
+            col_buf: flat column scratch (:meth:`col_size` elements).
+            dx_cm: when given, the chunk's input gradient is written
+                into it, shape: ``(C, b, L)``; None skips the ``dcols``
+                GEMM and the col2im adds.
+        """
+        dw_bias += g_mat @ self._im2col(x_cm, col_buf).T
+        if dx_cm is None:
+            return
+        channels, b, length = x_cm.shape
+        c_out, k_taps = self.out_channels, self.kernel
+        w_mat_t = self.weight.value.reshape(c_out, channels * k_taps).T
+        dcols = (w_mat_t @ g_mat).reshape(channels, k_taps, b, -1)
+        dx_cm.fill(0.0)
+        for k, o_lo, o_hi, source in _tap_plan(k_taps, self.stride, self.padding, length):
+            # Overlapping taps (stride < kernel) accumulate correctly
+            # because each tap's += runs on its own strided view in turn.
+            dx_cm[:, :, source] += dcols[:, k, :, o_lo:o_hi]
+
+    def add_grads(self, dw_bias: np.ndarray) -> None:
+        """Add a walk's accumulated ``[dW|db]`` into the parameter gradients."""
+        rows = self.in_channels * self.kernel
+        self.weight.grad += dw_bias[:, :rows].reshape(self.weight.value.shape)
+        self.bias.grad += dw_bias[:, rows]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         """Forward pass (caches what :meth:`backward` needs).
@@ -100,34 +213,19 @@ class Conv1d(Module):
             raise ValueError(
                 f"expected (B, {self.in_channels}, L), got {x.shape}"
             )
-        batch, channels, length = x.shape
-        c_out, rows = self.out_channels, channels * self.kernel
-        l_out = _out_length(length, self.kernel, self.stride, self.padding)
-        if self.padding:
-            # Direct zero-buffer fill: np.pad's generality costs more
-            # Python time than this whole layer at serve batch sizes.
-            x_pad = np.zeros(
-                (batch, channels, length + 2 * self.padding), dtype=x.dtype
-            )
-            x_pad[:, :, self.padding : self.padding + length] = x
-        else:
-            x_pad = x
-        self._x_pad = x_pad
-        self._x_shape = x.shape
+        batch, _, length = x.shape
+        c_out, l_out = self.out_channels, self.out_length(length)
+        self._x = x
         dtype = np.result_type(x.dtype, self.weight.value.dtype)
-        w_bias = np.empty((c_out, rows + 1), dtype=dtype)
-        w_bias[:, :rows] = self.weight.value.reshape(c_out, rows)
-        w_bias[:, rows] = self.bias.value
+        w_bias = self.weight_matrix(dtype)
         chunk = min(batch, CHUNK)
-        col_buf = np.empty((rows + 1) * chunk * l_out, dtype=dtype)
+        col_buf = np.empty(self.col_size(chunk, length), dtype=dtype)
         out_buf = np.empty(c_out * chunk * l_out, dtype=dtype)
         y = np.empty((batch, c_out, l_out), dtype=dtype)
         for start in range(0, batch, chunk):
-            stop = min(start + chunk, batch)
-            b = stop - start
-            out = out_buf[: c_out * b * l_out].reshape(c_out, b * l_out)
-            np.matmul(w_bias, self._im2col(x_pad[start:stop], l_out, col_buf), out=out)
-            y[start:stop] = out.reshape(c_out, b, l_out).transpose(1, 0, 2)
+            x_cm = x[start : start + chunk].transpose(1, 0, 2)
+            out = self.forward_chunk(x_cm, w_bias, col_buf, out_buf)
+            y[start : start + chunk] = out.transpose(1, 0, 2)
         return y
 
     def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
@@ -137,47 +235,41 @@ class Conv1d(Module):
         the ``dcols`` GEMM and the col2im adds are skipped and None is
         returned (a model input needs no gradient outside gradchecks).
         """
-        if self._x_pad is None or self._x_shape is None:
+        x = self._x
+        if x is None:
             raise RuntimeError("backward before forward")
-        x_pad = self._x_pad
-        batch, channels, length = self._x_shape
-        c_out, k_taps, stride = self.out_channels, self.kernel, self.stride
-        rows = channels * k_taps
-        l_out, l_pad = grad.shape[2], x_pad.shape[2]
-        w = self.weight.value
-        dtype = np.result_type(grad.dtype, x_pad.dtype, w.dtype)
-        w_mat_t = w.reshape(c_out, rows).T
+        batch, channels, length = x.shape
+        c_out, l_out = self.out_channels, grad.shape[2]
+        dtype = np.result_type(grad.dtype, x.dtype, self.weight.value.dtype)
         # [dW | db]: the ones row of the columns turns the bias gradient
         # into one more column of the weight-gradient GEMM.
-        dw_bias = np.zeros((c_out, rows + 1), dtype=dtype)
+        dw_bias = np.zeros((c_out, channels * self.kernel + 1), dtype=dtype)
         chunk = min(batch, CHUNK)
-        col_buf = np.empty((rows + 1) * chunk * l_out, dtype=dtype)
+        col_buf = np.empty(self.col_size(chunk, length), dtype=dtype)
+        dx = dx_buf = None
         if input_grad:
-            # One chunk's padded input gradient, channel-major so the
-            # col2im adds run along contiguous rows.
-            dxp_buf = np.empty(channels * chunk * l_pad, dtype=dtype)
-            dx = np.empty(self._x_shape, dtype=dtype)
+            # One chunk's input gradient, channel-major so the col2im
+            # adds run along contiguous rows.
+            dx_buf = np.empty(channels * chunk * length, dtype=dtype)
+            dx = np.empty(x.shape, dtype=dtype)
         for start in range(0, batch, chunk):
             stop = min(start + chunk, batch)
             b = stop - start
             g_mat = np.ascontiguousarray(grad[start:stop].transpose(1, 0, 2))
-            g_mat = g_mat.reshape(c_out, b * l_out)
-            dw_bias += g_mat @ self._im2col(x_pad[start:stop], l_out, col_buf).T
-            if not input_grad:
-                continue
-            dcols = (w_mat_t @ g_mat).reshape(channels, k_taps, b, l_out)
-            dxp = dxp_buf[: channels * b * l_pad].reshape(channels, b, l_pad)
-            dxp.fill(0.0)
-            for k in range(k_taps):
-                # Overlapping taps (stride < kernel) accumulate correctly
-                # because each tap's += runs on its own strided view in turn.
-                dxp[:, :, k : k + stride * l_out : stride] += dcols[:, k]
-            dx[start:stop] = dxp[:, :, self.padding : self.padding + length].transpose(
-                1, 0, 2
+            dx_cm = None
+            if dx_buf is not None:
+                dx_cm = dx_buf[: channels * b * length].reshape(channels, b, length)
+            self.backward_chunk(
+                g_mat.reshape(c_out, b * l_out),
+                x[start:stop].transpose(1, 0, 2),
+                dw_bias,
+                col_buf,
+                dx_cm,
             )
-        self.weight.grad += dw_bias[:, :rows].reshape(w.shape)
-        self.bias.grad += dw_bias[:, rows]
-        return dx if input_grad else None
+            if dx is not None:
+                dx[start:stop] = dx_cm.transpose(1, 0, 2)
+        self.add_grads(dw_bias)
+        return dx
 
 
 class MaxPool1d(Module):
@@ -190,34 +282,43 @@ class MaxPool1d(Module):
         self.stride = stride or kernel
         self._x_shape: tuple[int, ...] | None = None
         self._argmax: np.ndarray | None = None
-        self._gather: np.ndarray | None = None
+
+    def _gather(self, length: int) -> np.ndarray:
+        """Input index of every window tap, shape: ``(L_out, K)``."""
+        l_out = _out_length(length, self.kernel, self.stride, 0)
+        return np.arange(l_out)[:, None] * self.stride + np.arange(self.kernel)[None, :]
+
+    def pool(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Window maxima of a 3-D ``x`` over its last axis, and their argmax.
+
+        Any leading axis order works (``(B, C, L)`` or channel-major
+        ``(C, b, L)``); returns ``(y, argmax)``, both shaped like ``x``
+        with the last axis ``L_out``.
+        """
+        windows = x[:, :, self._gather(x.shape[2])]  # (., ., L_out, K)
+        return windows.max(axis=3), windows.argmax(axis=3)
+
+    def unpool(self, grad: np.ndarray, argmax: np.ndarray, length: int) -> np.ndarray:
+        """Scatter ``grad`` back to each window's argmax: the input gradient of :meth:`pool`."""
+        dx = np.zeros(grad.shape[:2] + (length,), dtype=grad.dtype)
+        a_idx, c_idx, o_idx = np.indices(grad.shape)
+        src = self._gather(length)[o_idx, argmax]
+        np.add.at(dx, (a_idx, c_idx, src), grad)
+        return dx
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         """Forward pass (caches what :meth:`backward` needs)."""
         if x.ndim != 3:
             raise ValueError(f"expected (B, C, L), got {x.shape}")
-        batch, channels, length = x.shape
-        l_out = _out_length(length, self.kernel, self.stride, 0)
-        gather = (
-            np.arange(l_out)[:, None] * self.stride + np.arange(self.kernel)[None, :]
-        )
-        windows = x[:, :, gather]  # (B, C, L_out, K)
-        self._argmax = windows.argmax(axis=3)
+        y, self._argmax = self.pool(x)
         self._x_shape = x.shape
-        self._gather = gather
-        return windows.max(axis=3)
+        return y
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         """Backprop through the cached forward pass; returns the input gradient."""
-        if self._x_shape is None or self._argmax is None or self._gather is None:
+        if self._x_shape is None or self._argmax is None:
             raise RuntimeError("backward before forward")
-        batch, channels, length = self._x_shape
-        dx = np.zeros(self._x_shape, dtype=grad.dtype)
-        l_out = grad.shape[2]
-        b_idx, c_idx, o_idx = np.indices((batch, channels, l_out))
-        src = self._gather[o_idx, self._argmax]
-        np.add.at(dx, (b_idx, c_idx, src), grad)
-        return dx
+        return self.unpool(grad, self._argmax, self._x_shape[2])
 
 
 class GlobalAveragePool1d(Module):

@@ -48,22 +48,54 @@ class Dense(Module):
         return grad @ self.weight.value.T if input_grad else None
 
 
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``max(x, 0)`` into ``out`` (a new array when None).
+
+    Bit-equal to ``np.where(x > 0, x, 0.0)`` for every input, ±0, NaN
+    and ±inf included: ``fmax`` returns the non-NaN operand, and the
+    ``+= 0.0`` turns the ``-0.0`` that ``fmax(-0.0, 0.0)`` keeps into
+    ``+0.0``.  ``out > 0`` holds exactly where ``x > 0``, so a cached
+    output doubles as the backward mask.
+    """
+    out = np.fmax(x, 0.0, out=out)
+    out += 0.0
+    return out
+
+
+def relu_grad(grad: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``grad`` where the ReLU output ``y`` is positive, else ``+0.0``, into ``out``.
+
+    Bit-equal to ``np.where(y > 0, grad, 0.0)`` for every gradient, NaN
+    and ``-0.0`` included (``grad * mask`` is not: it keeps a masked
+    NaN and signs a masked zero), and branch-free: the mask, sign-
+    extended to all-ones or all-zeros, is ANDed into the bits of
+    ``grad``.  ``out`` (a new array when None) has ``grad``'s dtype.
+    """
+    if out is None:
+        out = np.empty(grad.shape, dtype=grad.dtype)
+    ints = np.dtype(f"i{grad.itemsize}")
+    mask = np.greater(y, 0).view(np.int8)
+    np.negative(mask, out=mask)
+    np.bitwise_and(grad.view(ints), mask, out=out.view(ints))
+    return out
+
+
 class ReLU(Module):
     """Rectified linear unit."""
 
     def __init__(self) -> None:
-        self._mask: np.ndarray | None = None
+        self._y: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Forward pass (caches what :meth:`backward` needs)."""
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        """Forward pass; caches its output, which must not be modified in place."""
+        self._y = relu(x)
+        return self._y
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         """Backprop through the cached forward pass; returns the input gradient."""
-        if self._mask is None:
+        if self._y is None:
             raise RuntimeError("backward before forward")
-        return np.where(self._mask, grad, 0.0)
+        return relu_grad(grad, self._y)
 
 
 class Tanh(Module):

@@ -129,6 +129,13 @@ class Module:
     gradient with respect to the input.
     """
 
+    fused: tuple[str, ...] = ()
+    """Sub-module attributes whose kernels this module runs inline.
+
+    Their own ``forward``/``backward`` are never called, so the runtime
+    sanitizer checks their parameters at this module's boundary.
+    """
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         """Compute the layer output for ``x``."""
         raise NotImplementedError

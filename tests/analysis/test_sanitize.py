@@ -8,18 +8,20 @@ import numpy as np
 import pytest
 
 from repro.analysis.sanitize import AnomalyError, anomaly_detection
-from repro.core import M2AIPipeline
+from repro.core import M2AINet, M2AIPipeline
+from repro.core.model import ConvBranch
 from repro.core.streaming import StreamingIdentifier
 from repro.dsp import calibration, music, periodogram
 from repro.dsp.calibration import PhaseCalibrator
 from repro.dsp.features import M2AIFeaturizer
 from repro.dsp.frames import build_spectrum_frames
 from repro.faults import FaultSpec, apply_faults
-from repro.nn.conv import Conv1d
+from repro.nn.conv import CHUNK, Conv1d
 from repro.nn.gradcheck import check_module_gradients
 from repro.nn.layers import Dense, ReLU
 from repro.nn.module import Module, Sequential
 from repro.nn.recurrent import LSTM
+from tests.core.test_trainer_pipeline import TINY_CFG
 
 NAN_PHASE_NOISE = FaultSpec(kind="phase_noise", severity=1.0, magnitude=float("nan"))
 
@@ -162,6 +164,25 @@ class TestModuleWrappers:
         assert excinfo.value.kind == "shape_mismatch"
         assert "BadShape.backward" in excinfo.value.stage
 
+    def test_nan_in_fused_conv_weight_named_by_branch(self):
+        # ConvBranch runs its convolutions inline (Conv1d.forward never
+        # runs), so its own wrapper checks the fused layers' weights.
+        net = M2AINet({"pseudo": (2, 40), "period": (2, 4)}, 3, cfg=TINY_CFG)
+        pseudo = net.branches[net.channel_names.index("pseudo")]
+        assert isinstance(pseudo, ConvBranch)
+        pseudo.conv1.weight.value[0, 0, 0] = np.nan
+        rng = np.random.default_rng(0)
+        inputs = {
+            "pseudo": rng.normal(size=(2, 3, 2, 40)),
+            "period": rng.normal(size=(2, 3, 2, 4)),
+        }
+        with anomaly_detection():
+            with pytest.raises(AnomalyError) as excinfo:
+                net.forward(inputs, training=True)
+        assert excinfo.value.kind == "non_finite"
+        assert excinfo.value.stage == "repro.core.model.ConvBranch.forward"
+        assert "pseudo.conv1.W" in excinfo.value.detail
+
     def test_nested_activation_is_single_armed(self):
         rng = np.random.default_rng(0)
         layer = Dense(2, 2, rng)
@@ -184,6 +205,16 @@ class TestGradcheckUnderAnomalyMode:
         with anomaly_detection():
             errors = check_module_gradients(
                 LSTM(3, 4, rng), rng.normal(0.0, 1.0, (2, 5, 3)), rng
+            )
+        assert max(errors.values()) < 1e-6
+
+    def test_conv_branch_gradcheck(self):
+        rng = np.random.default_rng(7)
+        with anomaly_detection():
+            errors = check_module_gradients(
+                ConvBranch(2, 40, TINY_CFG, rng, "pseudo"),
+                rng.normal(0.0, 1.0, (CHUNK + 2, 2, 40)),
+                rng,
             )
         assert max(errors.values()) < 1e-6
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -127,3 +128,39 @@ class TestQuarantine:
         )
         with pytest.warns(RuntimeWarning):
             assert store.get(record.spec.key) is None
+
+
+class TestStaleVersusUnreadable:
+    def _stale(self, store):
+        """A parseable record whose stored key is an older scheme's."""
+        record = make_record(seed=2)
+        payload = record.to_payload()
+        payload["key"] = "toy--quick--s2--000000000000"
+        atomic_write_text(store.path_for(payload["key"]), json.dumps(payload))
+        return payload["key"]
+
+    def _unreadable(self, store):
+        key = make_record(seed=3).spec.key
+        atomic_write_text(store.path_for(key), "{torn")
+        return key
+
+    def test_get_warning_names_the_kind(self, store):
+        stale, unreadable = self._stale(store), self._unreadable(store)
+        with pytest.warns(RuntimeWarning, match="^stale experiment record"):
+            assert store.get(stale) is None
+        with pytest.warns(RuntimeWarning, match="^unreadable experiment record"):
+            assert store.get(unreadable) is None
+        assert store.keys() == []
+
+    def test_survey_reports_without_renaming(self, store):
+        good = make_record(seed=0)
+        store.put(good)
+        stale, unreadable = self._stale(store), self._unreadable(store)
+        before = sorted(p.name for p in store.root.iterdir())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            survey = store.survey()
+        assert [r.spec.key for r in survey.records] == [good.spec.key]
+        assert survey.stale == [stale]
+        assert survey.unreadable == [unreadable]
+        assert sorted(p.name for p in store.root.iterdir()) == before
