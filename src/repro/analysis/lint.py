@@ -41,7 +41,7 @@ import time
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import repro.analysis.packs  # noqa: F401  (imports register the project rules)
 from repro.analysis.baseline import (

@@ -57,12 +57,13 @@ def spatial_covariance_stack(
 
     Sample covariance ``R = E[x x^H]`` over each dwell's snapshots,
     then forward-backward averaging ``(R + J R* J) / 2`` (``J`` the
-    exchange matrix) and diagonal loading by ``loading * trace(R)/N``.
-    The per-window snapshot selection (only complete rows count when a
-    complete one exists; otherwise every row counts with its gaps
-    zero-filled) is a 0/1 row weighting, so the whole stack runs as one
-    matmul chain.  A zero-weighted row contributes nothing to the Gram
-    product, which is what makes pooling dwells exact.
+    exchange matrix, applied as an index flip) and diagonal loading by
+    ``loading * trace(R)/N``.  The per-window snapshot selection (only
+    complete rows count when a complete one exists; otherwise every row
+    counts with its gaps zero-filled) is a 0/1 row weighting, so the
+    whole stack runs as one matmul chain.  A zero-weighted row
+    contributes nothing to the Gram product, which is what makes
+    pooling dwells exact.
 
     Args:
         snapshots: ``(W, K, N)`` complex snapshots.
@@ -90,17 +91,26 @@ def spatial_covariance_stack(
             raise ValueError("valid must match snapshots")
         complete = valid.all(axis=2)  # (W, K)
         has_complete = complete.any(axis=1)
-        if not (has_complete | valid.any(axis=(1, 2))).all():
-            raise ValueError("no valid snapshots in some window")
-        weights = np.where(has_complete[:, None], complete, True)
-        x = np.where(valid, x, 0.0)
+        if not has_complete.all():
+            if not (has_complete | valid.any(axis=(1, 2))).all():
+                raise ValueError("no valid snapshots in some window")
+            complete[~has_complete] = True
+        weights = complete
+        xw = np.where(valid, x, 0.0)
+        xw *= weights[:, :, None]
     else:
         weights = np.ones(x.shape[:2], dtype=bool)
-    xw = x * weights[:, :, None]
+        xw = x * weights[:, :, None]
     counts = weights.sum(axis=1).astype(np.float64)
-    r = np.matmul(xw.transpose(0, 2, 1), xw.conj()) / counts[:, None, None]
+    r = np.matmul(xw.transpose(0, 2, 1), xw.conj())
+    r /= counts[:, None, None]
     if use_forward_backward:
-        j = np.eye(n)[::-1]
-        r = 0.5 * (r + j @ r.conj() @ j)
+        # J R* J is R* with both axes reversed.  The flip and the
+        # exchange-matrix product differ at most in the sign of zero
+        # parts, and the Gram product above never holds a -0.0, so the
+        # sum below is the same either way.
+        flipped = r.conj()[:, ::-1, ::-1]
+        r += flipped
+        r *= 0.5
     trace = np.trace(r, axis1=-2, axis2=-1).real
     return r + np.eye(n) * (loading * trace / n)[:, None, None]

@@ -51,8 +51,16 @@ def normalize_pseudospectrum(spectrum: np.ndarray) -> np.ndarray:
     """
     s = np.asarray(spectrum, dtype=np.float64)
     peak = np.maximum(s.max(axis=-1, keepdims=True), 1e-300)
-    db = 10.0 * np.log10(np.maximum(s, 1e-300) / peak)
-    return np.clip(db, _DB_FLOOR, 0.0) / (-_DB_FLOOR) + 1.0
+    # No value exceeds its row's peak, so the dB values are never above
+    # 0: only the floor needs a clamp.
+    out = np.maximum(s, 1e-300)
+    out /= peak
+    np.log10(out, out=out)
+    out *= 10.0
+    np.maximum(out, _DB_FLOOR, out=out)
+    out /= -_DB_FLOOR
+    out += 1.0
+    return out
 
 
 def power_to_db(power: np.ndarray, floor_db: float = -120.0) -> np.ndarray:
@@ -317,10 +325,11 @@ def _pool_spectrum_group(
     period = (
         np.zeros((n_windows, frames, n_tags, n_ant)) if include_period else None
     )
+    rows = (w_e * frames + f_e) * n_tags + t_e
     if pseudo is not None and spectra is not None:
-        pseudo[w_e, f_e, t_e] = spectra
+        pseudo.reshape(-1, grid.size)[rows] = spectra
     if period is not None and powers is not None:
-        period[w_e, f_e, t_e] = powers
+        period.reshape(-1, n_ant)[rows] = powers
     # Invalid frames repeat the tag's previous frame (zero for a
     # missing first frame), vectorised over the whole group.
     have = ok.transpose(0, 2, 1)  # (W, F, T)

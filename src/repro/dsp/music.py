@@ -369,19 +369,37 @@ def music_spectra_batch(
                 np.asarray(n_sources, dtype=np.int64), (n_windows,)
             )
             dims = np.clip(forced, 1, max(1, n - 1))
+        # Entries sorted by (dim, wavelength): each group is one run.
+        order = np.lexsort((wavelengths, dims))
+        dims_sorted = np.asarray(dims)[order]
+        wl_sorted = wavelengths[order]
+        starts = np.flatnonzero(
+            np.concatenate(
+                ([True], (dims_sorted[1:] != dims_sorted[:-1])
+                 | (wl_sorted[1:] != wl_sorted[:-1]))
+            )
+        )
+        ends = np.append(starts[1:], n_windows)
+        vecs_sorted = eigvecs[order]  # (W, N, N), columns descending
         spectra = np.empty((n_windows, grid.size))
-        groups: dict[tuple[int, float], list[int]] = {}
-        for w in range(n_windows):
-            groups.setdefault((int(dims[w]), float(wavelengths[w])), []).append(w)
-        for (m, wl), members in groups.items():
+        for lo, hi in zip(starts.tolist(), ends.tolist()):
+            m = int(dims_sorted[lo])
             a = cached_steering_matrix(
-                grid, n, spacing_m, wl, phase_multiplier,
+                grid, n, spacing_m, float(wl_sorted[lo]), phase_multiplier,
                 element_indices=element_indices,
             )
-            noise = eigvecs[members][:, :, m:]  # (G, N, N-m)
-            proj = np.matmul(noise.conj().transpose(0, 2, 1), a)  # (G, N-m, A)
-            denom = np.maximum(np.sum(np.abs(proj) ** 2, axis=1), 1e-12)
-            spectra[members] = 1.0 / denom
+            # conj() copies the noise columns C-contiguous.  Keep that
+            # operand layout: BLAS picks its kernel by layout, and a
+            # strided view changes the last bits of 2- and 3-element
+            # subarray spectra.
+            noise = vecs_sorted[lo:hi, :, m:].conj()  # (G, N, N-m)
+            proj = np.matmul(noise.transpose(0, 2, 1), a)  # (G, N-m, A)
+            power = np.abs(proj)  # (G, N-m, A)
+            np.square(power, out=power)
+            denom = power.sum(axis=1)
+            np.maximum(denom, 1e-12, out=denom)
+            np.divide(1.0, denom, out=denom)
+            spectra[order[lo:hi]] = denom
     return spectra, np.asarray(dims, dtype=int), eigvals
 
 

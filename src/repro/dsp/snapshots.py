@@ -151,8 +151,8 @@ def build_snapshots_many(
     """Bin *many* windows' reads into snapshots in one pass.
 
     The only snapshot binner: the window and tag indices lead the flat
-    bin, so W windows cost one concatenate + one ``np.unique`` instead
-    of W binning passes, and :func:`build_snapshots` /
+    bin, so W windows cost one concatenate + one ``np.maximum.at``
+    instead of W binning passes, and :func:`build_snapshots` /
     :func:`tag_snapshot_set` are slices of a batch of one.  Every
     window must share the same array geometry (tag count, antennas,
     dwell/slot timing) and frame count — the caller groups by exactly
@@ -184,47 +184,46 @@ def build_snapshots_many(
     round_s = meta.slot_s * n_ant
     rounds_per_dwell = max(1, int(round(meta.dwell_s / round_s)))
     n_windows = len(logs)
+    shape = (n_windows, n_tags, n_frames, rounds_per_dwell, n_ant)
+    n_bins = int(np.prod(shape))
 
     counts = np.array([log.n_reads for log in logs])
     w_idx = np.repeat(np.arange(n_windows), counts)
     t = np.concatenate([log.timestamp_s for log in logs])
-    antennas = np.concatenate([log.antenna for log in logs])
-    tags = np.concatenate([log.tag_index for log in logs])
-    freqs = np.concatenate([log.frequency_hz for log in logs])
-    psi = np.concatenate(list(psis))
-    amps = rssi_dbm_to_amplitude(
-        np.concatenate([log.rssi_dbm for log in logs]), params
-    )
-
     t0_w = np.array([_grid_origin(log) for log in logs])
     rel = t - t0_w[w_idx]
-    dwell_idx = np.floor(rel / meta.dwell_s).astype(int)
-    round_idx = np.floor(rel / round_s).astype(int)
+    dwell_idx = np.floor(rel / meta.dwell_s).astype(np.intp)
+    round_idx = np.floor(rel / round_s).astype(np.intp)
     k_idx = np.clip(round_idx - dwell_idx * rounds_per_dwell, 0, rounds_per_dwell - 1)
 
-    shape = (n_windows, n_tags, n_frames, rounds_per_dwell, n_ant)
+    # The last read of each bin, by read index: the window index leads
+    # the flat bin so windows never collide, and reads off the frame
+    # grid land in one spare bin past the end.
+    flat = w_idx * n_tags + np.concatenate([log.tag_index for log in logs])
+    flat *= n_frames
+    flat += dwell_idx
+    flat *= rounds_per_dwell
+    flat += k_idx
+    flat *= n_ant
+    flat += np.concatenate([log.antenna for log in logs])
+    flat[(dwell_idx < 0) | (dwell_idx >= n_frames)] = n_bins
+    last = np.full(n_bins + 1, -1, dtype=np.intp)
+    np.maximum.at(last, flat, np.arange(flat.size))
+    last = last[:n_bins]
+    observed = last >= 0
+    reads = last[observed]
     z = np.zeros(shape, dtype=np.complex128)
-    valid = np.zeros(shape, dtype=bool)
+    z.reshape(-1)[observed] = rssi_dbm_to_amplitude(
+        np.concatenate([log.rssi_dbm for log in logs])[reads], params
+    ) * np.exp(1j * np.concatenate(list(psis))[reads])
+    valid = observed.reshape(shape)
+    # A dwell's last read is the last read over its bins.
+    last_tf = last.reshape(-1, rounds_per_dwell * n_ant).max(axis=1)
+    seen = last_tf >= 0
     wavelength = np.full((n_windows, n_tags, n_frames), np.nan)
-
-    in_range = (dwell_idx >= 0) & (dwell_idx < n_frames)
-    values = (amps * np.exp(1j * psi))[in_range]
-    wt = w_idx[in_range] * n_tags + tags[in_range]
-    f_sel = dwell_idx[in_range]
-    # Duplicate bins keep the last read in log order; windows never
-    # collide (the window index leads the flat bin).
-    flat = (
-        (wt * n_frames + f_sel) * rounds_per_dwell + k_idx[in_range]
-    ) * n_ant + antennas[in_range]
-    bins, first_in_reversed = np.unique(flat[::-1], return_index=True)
-    last = flat.size - 1 - first_in_reversed
-    z.reshape(-1)[bins] = values[last]
-    valid.reshape(-1)[bins] = True
-    tf = wt * n_frames + f_sel
-    tf_seen, first_in_reversed = np.unique(tf[::-1], return_index=True)
-    wavelength.reshape(-1)[tf_seen] = (
-        SPEED_OF_LIGHT / freqs[in_range][tf.size - 1 - first_in_reversed]
-    )
+    wavelength.reshape(-1)[seen] = SPEED_OF_LIGHT / np.concatenate(
+        [log.frequency_hz for log in logs]
+    )[last_tf[seen]]
 
     # Frames never observed (tag missed for a whole dwell) get the
     # tag's band-centre wavelength so downstream steering stays finite

@@ -38,7 +38,6 @@ from repro.serving.workers import (
     InlineShardWorker,
     ProcessShardWorker,
     ShardWorker,
-    TickResult,
     WorkerCrashedError,
 )
 

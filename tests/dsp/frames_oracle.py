@@ -7,7 +7,9 @@ implementation it replaced — per-tag binning over one log, a Python
 list of valid ``(tag, frame)`` entries, and an explicit per-tag,
 per-frame scatter with forward fill — so the tests compare the single
 production path against a second implementation bit for bit instead of
-against itself.
+against itself.  Its covariance, MUSIC and normalisation steps are the
+plain bodies in :mod:`tests.dsp.kernel_oracle`, not the vectorised
+kernels in ``src/``.
 """
 
 from __future__ import annotations
@@ -16,12 +18,17 @@ import numpy as np
 
 from repro.channel.link import rssi_dbm_to_amplitude
 from repro.channel.params import SPEED_OF_LIGHT, ChannelParams
-from repro.dsp.correlation import spatial_covariance_stack
-from repro.dsp.frames import FeatureFrames, normalize_pseudospectrum, power_to_db
-from repro.dsp.music import DEFAULT_ANGLES_DEG, masked_pseudospectrum, music_spectra_batch
+from repro.dsp.frames import FeatureFrames, power_to_db
+from repro.dsp.music import DEFAULT_ANGLES_DEG
 from repro.dsp.periodogram import spatial_periodogram_batch
 from repro.dsp.snapshots import TagSnapshots
 from repro.hardware.llrp import ReadLog
+from tests.dsp.kernel_oracle import (
+    masked_spectra_batch,
+    music_spectra_batch,
+    normalize_pseudospectrum,
+    spatial_covariance_stack,
+)
 
 
 def build_snapshots_all(
@@ -165,17 +172,17 @@ def build_spectrum_frames(
             )
             spectra = normalize_pseudospectrum(raw)
         elif pseudo is not None and can_aoa:
-            spectra = np.stack(
+            spectra = np.concatenate(
                 [
                     normalize_pseudospectrum(
-                        masked_pseudospectrum(
-                            z_rows[i],
-                            valid_rows[i],
+                        masked_spectra_batch(
+                            z_rows[i][None],
+                            valid_rows[i][None],
                             live,
                             spacing_m=log.meta.spacing_m,
                             wavelength_m=wavelengths[i],
                             angles_deg=grid,
-                        ).spectrum
+                        )[0]
                     )
                     for i in range(len(entries))
                 ]

@@ -16,7 +16,7 @@ from repro.dsp.localization import (
     triangulate,
 )
 from repro.geometry import Vec2, make_open_space
-from repro.hardware import Reader, ReaderConfig, UniformLinearArray, make_tag, stationary_scene
+from repro.hardware import UniformLinearArray, make_tag, stationary_scene
 from repro.hardware.hub import AntennaHub
 
 
