@@ -208,7 +208,7 @@ class StreamingIdentifier:
     calibrator: PhaseCalibrator | None = None
     window_s: float = 6.0
     hop_s: float | None = None
-    featurizer: object = field(default_factory=M2AIFeaturizer)
+    featurizer: M2AIFeaturizer = field(default_factory=M2AIFeaturizer)
     min_reads: int = 32
     min_live_ports: int = 2
     min_confidence: float = 0.0
@@ -363,8 +363,7 @@ class StreamingIdentifier:
         :meth:`prepare_window` and fleet shards all come through here):
         read-count and live-port checks run per window, then every
         admissible window is featurised through the featuriser's
-        ``transform_many`` (one stacked MUSIC/periodogram batch for the
-        lot) when it has one, or per-window ``transform`` otherwise.
+        ``transform_many`` (one pooled DSP batch for the lot).
 
         Args:
             windows: ``(window_log, t_start_s, psi)`` per window;
@@ -413,14 +412,7 @@ class StreamingIdentifier:
             pending.append(i)
             items.append((window_log, psi, n_frames))
         if items:
-            transform_many = getattr(self.featurizer, "transform_many", None)
-            if transform_many is not None:
-                samples = transform_many(items)
-            else:
-                samples = [
-                    self.featurizer.transform(log, psi, n_frames=n_frames)
-                    for log, psi, n_frames in items
-                ]
+            samples = self.featurizer.transform_many(items)
             for i, sample in zip(pending, samples):
                 out[i] = (None, sample)
         return out

@@ -135,7 +135,7 @@ class SyntheticDatasetGenerator:
     def featurize(
         self,
         raw_samples: list[RawSample],
-        featurizer=None,
+        featurizer: M2AIFeaturizer | None = None,
         use_calibration: bool = True,
     ) -> ActivityDataset:
         """Turn raw recordings into an :class:`ActivityDataset`."""
@@ -150,7 +150,9 @@ class SyntheticDatasetGenerator:
             )
         return ActivityDataset(samples=frames)
 
-    def generate(self, featurizer=None, use_calibration: bool = True) -> ActivityDataset:
+    def generate(
+        self, featurizer: M2AIFeaturizer | None = None, use_calibration: bool = True
+    ) -> ActivityDataset:
         """Convenience: :meth:`generate_raw` then :meth:`featurize`."""
         return self.featurize(self.generate_raw(), featurizer, use_calibration)
 

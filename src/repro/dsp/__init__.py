@@ -11,15 +11,8 @@ from repro.dsp.angles import (
 )
 from repro.dsp.calibration import PhaseCalibrator, uncalibrated
 from repro.dsp.correlation import spatial_covariance, spatial_covariance_stack
-from repro.dsp.doppler import DopplerFeaturizer, doppler_from_phases, dwell_doppler
-from repro.dsp.features import (
-    FEATURIZERS,
-    FftOnlyFeaturizer,
-    M2AIFeaturizer,
-    MusicOnlyFeaturizer,
-    PhaseFeaturizer,
-    RssiFeaturizer,
-)
+from repro.dsp.doppler import snapshot_doppler
+from repro.dsp.features import CHANNEL_SETS, M2AIFeaturizer
 from repro.dsp.frames import (
     FeatureFrames,
     build_spectrum_frames,
@@ -65,17 +58,12 @@ from repro.dsp.snapshots import (
 __all__ = [
     "DEFAULT_ANGLES_DEG",
     "BearingEstimate",
-    "DopplerFeaturizer",
-    "FEATURIZERS",
+    "CHANNEL_SETS",
     "PHASE_MULTIPLIER",
     "FeatureFrames",
-    "FftOnlyFeaturizer",
     "M2AIFeaturizer",
-    "MusicOnlyFeaturizer",
     "MusicResult",
     "PhaseCalibrator",
-    "PhaseFeaturizer",
-    "RssiFeaturizer",
     "STEERING_CACHE_MAXSIZE",
     "TagSnapshots",
     "bearing_ray",
@@ -88,8 +76,6 @@ __all__ = [
     "circular_mean",
     "circular_median",
     "clear_steering_cache",
-    "doppler_from_phases",
-    "dwell_doppler",
     "estimate_bearing",
     "estimate_n_sources",
     "fold_double",
@@ -102,6 +88,7 @@ __all__ = [
     "normalize_pseudospectrum",
     "periodogram_psd",
     "power_to_db",
+    "snapshot_doppler",
     "spatial_covariance",
     "spatial_covariance_stack",
     "spatial_periodogram",

@@ -27,96 +27,53 @@ import numpy as np
 
 from repro.dsp.angles import wrap_pm_pi
 from repro.dsp.music import PHASE_MULTIPLIER
-from repro.dsp.snapshots import TagSnapshots
-from repro.hardware.llrp import ReadLog
 
 
-def doppler_from_phases(
-    psi: np.ndarray, times_s: np.ndarray, phase_multiplier: float = PHASE_MULTIPLIER
-) -> float:
-    """Doppler (Hz) from a short run of doubled phases at one carrier.
+def snapshot_doppler(z: np.ndarray, valid: np.ndarray, round_s: float) -> np.ndarray:
+    """One-way Doppler (Hz) of every dwell and antenna in a snapshot stack.
 
-    Fits the unwrapped phase-vs-time slope; the multiplier converts
-    the doubled backscatter rotation back to one-way Doppler.
-
-    Args:
-        psi: doubled phases, radians, time-ordered.
-        times_s: matching timestamps.
-        phase_multiplier: domain multiplier (4 = round trip x ambiguity
-            folding).
-
-    Returns:
-        Estimated one-way Doppler shift in Hz (0 for < 2 samples).
-    """
-    psi = np.asarray(psi, dtype=np.float64)
-    times = np.asarray(times_s, dtype=np.float64)
-    if psi.shape != times.shape:
-        raise ValueError("psi and times must align")
-    if psi.size < 2:
-        return 0.0
-    increments = wrap_pm_pi(np.diff(psi))
-    unwrapped = np.concatenate([[psi[0]], psi[0] + np.cumsum(increments)])
-    dt = times - times[0]
-    denom = float(np.sum((dt - dt.mean()) ** 2))
-    if denom <= 0:
-        return 0.0
-    slope = float(np.sum((dt - dt.mean()) * (unwrapped - unwrapped.mean())) / denom)
-    # slope [rad/s] = multiplier/2 * 2*pi * f_doppler  (the doubled
-    # domain rotates at twice the physical backscatter rate, which is
-    # itself twice the one-way rate).
-    return slope / (np.pi * phase_multiplier)
-
-
-def dwell_doppler(snapshots: TagSnapshots, round_s: float) -> np.ndarray:
-    """Per-frame, per-antenna Doppler estimates, ``(F, N)`` Hz.
+    Each antenna's run of rounds within a dwell is fitted on its own:
+    the phases are unwrapped along the run and the least-squares slope
+    of phase against round time, divided by the doubled-domain
+    multiplier, is the Doppler.  Runs with fewer than two observed
+    rounds read 0.  Runs sharing a round-validity pattern (at most
+    ``2**K`` of them) share their time axis, so each pattern is one
+    vectorised fit.
 
     Args:
-        snapshots: one tag's dwell-aligned snapshots.
-        round_s: time between consecutive snapshots (one TDM round).
+        z: complex snapshots, shape: ``(..., K, N)`` for ``K`` rounds
+            and ``N`` antennas (any leading window/tag/frame axes).
+        valid: bool mask of observed entries, same shape as ``z``.
+        round_s: time between consecutive rounds (one TDM round).
 
     Returns:
-        Doppler per frame and antenna; unobserved entries are 0.
+        Doppler per dwell and antenna, shape: ``(..., N)``.
     """
-    frames, rounds, n_ant = snapshots.z.shape
-    out = np.zeros((frames, n_ant))
+    rounds = z.shape[-2]
+    runs_z = np.moveaxis(z, -2, -1).reshape(-1, rounds)
+    runs_valid = np.moveaxis(valid, -2, -1).reshape(-1, rounds)
+    out = np.zeros(runs_z.shape[0])
     times = np.arange(rounds) * round_s
-    for f in range(frames):
-        for a in range(n_ant):
-            mask = snapshots.valid[f, :, a]
-            if mask.sum() < 2:
-                continue
-            psi = np.angle(snapshots.z[f, mask, a])
-            out[f, a] = doppler_from_phases(psi, times[mask])
-    return out
-
-
-class DopplerFeaturizer:
-    """Doppler frames: the FEMO-style featurisation, as an extension.
-
-    Produces a ``"doppler"`` channel of shape ``(F, n_tags, N)``.  Not
-    part of the paper's Fig. 16 comparison set, but useful to quantify
-    how much the pseudospectrum adds over pure motion-rate features.
-    """
-
-    name = "doppler"
-
-    def transform(
-        self,
-        log: ReadLog,
-        psi: np.ndarray,
-        n_frames: int | None = None,
-        label: str | None = None,
-    ):
-        """Featurise ``log`` into Doppler-rate frames."""
-        from repro.dsp.frames import FeatureFrames
-        from repro.dsp.snapshots import tag_snapshot_set
-
-        snapshot_sets = tag_snapshot_set(log, psi, n_frames)
-        round_s = log.meta.slot_s * log.meta.n_antennas
-        frames = snapshot_sets[0].n_frames
-        n_tags = len(snapshot_sets)
-        n_ant = log.meta.n_antennas
-        out = np.zeros((frames, n_tags, n_ant))
-        for k, snaps in enumerate(snapshot_sets):
-            out[:, k, :] = dwell_doppler(snaps, round_s)
-        return FeatureFrames(channels={"doppler": out}, label=label)
+    codes = runs_valid @ (1 << np.arange(rounds))
+    for code in np.unique(codes):
+        rows = np.flatnonzero(codes == code)
+        mask = runs_valid[rows[0]]
+        if mask.sum() < 2:
+            continue
+        psi = np.angle(runs_z[rows][:, mask])
+        increments = wrap_pm_pi(np.diff(psi, axis=1))
+        unwrapped = np.concatenate(
+            [psi[:, :1], psi[:, :1] + np.cumsum(increments, axis=1)], axis=1
+        )
+        dt = times[mask] - times[mask][0]
+        centred = dt - dt.mean()
+        denom = float(np.sum(centred**2))
+        slope = (
+            np.sum(centred * (unwrapped - unwrapped.mean(axis=1, keepdims=True)), axis=1)
+            / denom
+        )
+        # slope [rad/s] = multiplier/2 * 2*pi * f_doppler  (the doubled
+        # domain rotates at twice the physical backscatter rate, which is
+        # itself twice the one-way rate).
+        out[rows] = slope / (np.pi * PHASE_MULTIPLIER)
+    return out.reshape(z.shape[:-2] + z.shape[-1:])

@@ -1,10 +1,11 @@
-"""Featurisers: the preprocessing variants compared in Fig. 16.
+"""The featuriser: named channel sets, including the Fig. 16 inputs.
 
 The paper compares its joint pseudospectrum+periodogram preprocessing
 against MUSIC-only, FFT-only, raw-phase and RSSI inputs, holding the
-deep network fixed.  Every featuriser here maps ``(log, psi)`` to a
-:class:`~repro.dsp.frames.FeatureFrames`, so they are drop-in
-interchangeable in the pipeline.
+deep network fixed.  Each input is a different reduction of the same
+dwell snapshots, so each is a named channel set of one featuriser over
+the one pooled path, :func:`~repro.dsp.frames.build_spectrum_frames_many`;
+the FEMO-style Doppler set rides along as an extension.
 """
 
 from __future__ import annotations
@@ -13,36 +14,51 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dsp.frames import (
-    FeatureFrames,
-    build_spectrum_frames,
-    build_spectrum_frames_many,
-    power_to_db,
-)
-from repro.dsp.snapshots import tag_snapshot_set
+from repro.dsp.frames import FeatureFrames, build_spectrum_frames_many
 from repro.hardware.llrp import ReadLog
+
+CHANNEL_SETS: dict[str, tuple[str, ...]] = {
+    "m2ai": ("pseudo", "period"),
+    "music": ("pseudo",),
+    "fft": ("period",),
+    "phase": ("phase",),
+    "rssi": ("rssi",),
+    "doppler": ("doppler",),
+}
+"""The channels each named set emits: the paper's joint input, the four
+Fig. 16 baselines ("MUSIC-based", "FFT-based", "Phase-based",
+"RSSI-based") and the Doppler extension."""
 
 
 @dataclass(frozen=True)
 class M2AIFeaturizer:
-    """The paper's preprocessing: pseudospectrum + periodogram frames."""
+    """Maps ``(log, psi)`` windows to :class:`FeatureFrames` of one channel set.
 
-    angles_deg: np.ndarray | None = None
+    Attributes:
+        name: the channel set, a key of :data:`CHANNEL_SETS`; the
+            default is the paper's pseudospectrum + periodogram input.
+
+    Raises:
+        ValueError: on an unknown set name.
+    """
+
     name: str = "m2ai"
+
+    def __post_init__(self) -> None:
+        if self.name not in CHANNEL_SETS:
+            raise ValueError(
+                f"unknown channel set {self.name!r}; known: {sorted(CHANNEL_SETS)}"
+            )
 
     def transform(
         self, log: ReadLog, psi: np.ndarray, n_frames: int | None = None, label: str | None = None
     ) -> FeatureFrames:
         """Featurise one calibrated log into :class:`FeatureFrames`."""
-        return build_spectrum_frames(
-            log,
-            psi,
-            n_frames=n_frames,
-            angles_deg=self.angles_deg,
-            include_pseudo=True,
-            include_period=True,
-            label=label,
+        (frames,) = build_spectrum_frames_many(
+            [(log, psi, n_frames)], channels=CHANNEL_SETS[self.name]
         )
+        frames.label = label
+        return frames
 
     def transform_many(
         self, windows: list[tuple[ReadLog, np.ndarray, int | None]]
@@ -53,127 +69,4 @@ class M2AIFeaturizer:
         :func:`~repro.dsp.frames.build_spectrum_frames_many` for how
         the pooling works and why it pays on a fleet shard.
         """
-        return build_spectrum_frames_many(
-            windows,
-            angles_deg=self.angles_deg,
-            include_pseudo=True,
-            include_period=True,
-        )
-
-
-@dataclass(frozen=True)
-class MusicOnlyFeaturizer:
-    """Pseudospectrum frames alone ("MUSIC-based" in Fig. 16)."""
-
-    angles_deg: np.ndarray | None = None
-    name: str = "music"
-
-    def transform(
-        self, log: ReadLog, psi: np.ndarray, n_frames: int | None = None, label: str | None = None
-    ) -> FeatureFrames:
-        """Featurise one calibrated log into :class:`FeatureFrames`."""
-        return build_spectrum_frames(
-            log,
-            psi,
-            n_frames=n_frames,
-            angles_deg=self.angles_deg,
-            include_pseudo=True,
-            include_period=False,
-            label=label,
-        )
-
-
-@dataclass(frozen=True)
-class FftOnlyFeaturizer:
-    """Periodogram frames alone ("FFT-based" in Fig. 16)."""
-
-    name: str = "fft"
-
-    def transform(
-        self, log: ReadLog, psi: np.ndarray, n_frames: int | None = None, label: str | None = None
-    ) -> FeatureFrames:
-        """Featurise one calibrated log into :class:`FeatureFrames`."""
-        return build_spectrum_frames(
-            log,
-            psi,
-            n_frames=n_frames,
-            include_pseudo=False,
-            include_period=True,
-            label=label,
-        )
-
-
-@dataclass(frozen=True)
-class PhaseFeaturizer:
-    """Per-antenna phase frames ("Phase-based" in Fig. 16).
-
-    The per-dwell circular-mean phase of each antenna, embedded as
-    ``(cos, sin)`` pairs so the wrap-around does not create artificial
-    discontinuities for the learner.
-    """
-
-    name: str = "phase"
-
-    def transform(
-        self, log: ReadLog, psi: np.ndarray, n_frames: int | None = None, label: str | None = None
-    ) -> FeatureFrames:
-        """Featurise one calibrated log into :class:`FeatureFrames`."""
-        snapshot_sets = tag_snapshot_set(log, psi, n_frames)
-        frames = snapshot_sets[0].n_frames
-        n_tags = len(snapshot_sets)
-        n_ant = log.meta.n_antennas
-        out = np.zeros((frames, n_tags, 2 * n_ant))
-        for k, snaps in enumerate(snapshot_sets):
-            for f in range(frames):
-                if not snaps.valid[f].any():
-                    if f > 0:
-                        out[f, k] = out[f - 1, k]
-                    continue
-                unit = np.where(
-                    np.abs(snaps.z[f]) > 0, snaps.z[f] / np.maximum(np.abs(snaps.z[f]), 1e-12), 0
-                )
-                counts = np.maximum(snaps.valid[f].sum(axis=0), 1)
-                mean_vec = unit.sum(axis=0) / counts
-                out[f, k, :n_ant] = mean_vec.real
-                out[f, k, n_ant:] = mean_vec.imag
-        return FeatureFrames(channels={"phase": out}, label=label)
-
-
-@dataclass(frozen=True)
-class RssiFeaturizer:
-    """Per-antenna RSSI frames ("RSSI-based" in Fig. 16)."""
-
-    name: str = "rssi"
-
-    def transform(
-        self, log: ReadLog, psi: np.ndarray, n_frames: int | None = None, label: str | None = None
-    ) -> FeatureFrames:
-        """Featurise one calibrated log into :class:`FeatureFrames`."""
-        snapshot_sets = tag_snapshot_set(log, psi, n_frames)
-        frames = snapshot_sets[0].n_frames
-        n_tags = len(snapshot_sets)
-        n_ant = log.meta.n_antennas
-        out = np.zeros((frames, n_tags, n_ant))
-        for k, snaps in enumerate(snapshot_sets):
-            for f in range(frames):
-                if not snaps.valid[f].any():
-                    if f > 0:
-                        out[f, k] = out[f - 1, k]
-                    continue
-                power = np.abs(snaps.z[f]) ** 2
-                counts = np.maximum(snaps.valid[f].sum(axis=0), 1)
-                out[f, k] = power_to_db(power.sum(axis=0) / counts)
-        return FeatureFrames(channels={"rssi": out}, label=label)
-
-
-FEATURIZERS = {
-    f.name: f
-    for f in (
-        M2AIFeaturizer(),
-        MusicOnlyFeaturizer(),
-        FftOnlyFeaturizer(),
-        PhaseFeaturizer(),
-        RssiFeaturizer(),
-    )
-}
-"""Default instance of every featuriser, keyed by Fig. 16 name."""
+        return build_spectrum_frames_many(windows, channels=CHANNEL_SETS[self.name])

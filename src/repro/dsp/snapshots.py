@@ -78,17 +78,6 @@ def _grid_origin(log: ReadLog) -> float:
     return float(np.floor(float(log.timestamp_s.min()) / dwell) * dwell)
 
 
-def tag_snapshot_set(
-    log: ReadLog, psi: np.ndarray, n_frames: int | None = None
-) -> list[TagSnapshots]:
-    """Snapshots for every tag over a common frame axis.
-
-    One window's slice of :func:`build_snapshots_many`; ``n_frames``
-    None takes :func:`frame_count` of the log.
-    """
-    return _window_snapshots(log, psi, n_frames, None)
-
-
 def build_snapshots(
     log: ReadLog,
     psi: np.ndarray,
@@ -117,29 +106,16 @@ def build_snapshots(
     Returns:
         The tag's :class:`TagSnapshots`.
     """
-    return _window_snapshots(log, psi, n_frames, channel_params)[tag]
-
-
-def _window_snapshots(
-    log: ReadLog,
-    psi: np.ndarray,
-    n_frames: int | None,
-    channel_params: ChannelParams | None,
-) -> list[TagSnapshots]:
-    """Per-tag views of one window binned as a batch of one."""
     frames = frame_count(log) if n_frames is None else n_frames
     z, valid, wavelength, frame_time = build_snapshots_many(
         [log], [psi], frames, channel_params
     )
-    return [
-        TagSnapshots(
-            z=z[0, k],
-            valid=valid[0, k],
-            wavelength_m=wavelength[0, k],
-            frame_time_s=frame_time[0],
-        )
-        for k in range(log.n_tags)
-    ]
+    return TagSnapshots(
+        z=z[0, tag],
+        valid=valid[0, tag],
+        wavelength_m=wavelength[0, tag],
+        frame_time_s=frame_time[0],
+    )
 
 
 def build_snapshots_many(
@@ -152,12 +128,12 @@ def build_snapshots_many(
 
     The only snapshot binner: the window and tag indices lead the flat
     bin, so W windows cost one concatenate + one ``np.maximum.at``
-    instead of W binning passes, and :func:`build_snapshots` /
-    :func:`tag_snapshot_set` are slices of a batch of one.  Every
-    window must share the same array geometry (tag count, antennas,
-    dwell/slot timing) and frame count — the caller groups by exactly
-    that key.  Duplicate (window, tag, dwell, round, antenna) bins keep
-    the window's last read in log order.
+    instead of W binning passes, and :func:`build_snapshots` is a
+    slice of a batch of one.  Every window must share the same array
+    geometry (tag count, antennas, dwell/slot timing) and frame count —
+    the caller groups by exactly that key.  Duplicate (window, tag,
+    dwell, round, antenna) bins keep the window's last read in log
+    order.
 
     Args:
         logs: one read log per window.

@@ -25,13 +25,7 @@ from repro.data.workloads import (
     quick_generation,
     quick_training,
 )
-from repro.dsp.features import (
-    FftOnlyFeaturizer,
-    M2AIFeaturizer,
-    MusicOnlyFeaturizer,
-    PhaseFeaturizer,
-    RssiFeaturizer,
-)
+from repro.dsp.features import M2AIFeaturizer
 from repro.eval.harness import (
     eval_baselines,
     get_dataset,
@@ -349,16 +343,16 @@ def run_fig16(quick: bool = True, seed: int = 0) -> ExperimentResult:
     from repro.data.generator import SyntheticDatasetGenerator
 
     generator = SyntheticDatasetGenerator(cfg)
-    featurizers = [
-        ("M2AI", M2AIFeaturizer(), 0.97, False),
-        ("MUSIC-based", MusicOnlyFeaturizer(), 0.85, True),
-        ("FFT-based", FftOnlyFeaturizer(), 0.75, True),
-        ("Phase-based", PhaseFeaturizer(), 0.65, True),
-        ("RSSI-based", RssiFeaturizer(), 0.55, True),
+    channel_sets = [
+        ("M2AI", "m2ai", 0.97, False),
+        ("MUSIC-based", "music", 0.85, True),
+        ("FFT-based", "fft", 0.75, True),
+        ("Phase-based", "phase", 0.65, True),
+        ("RSSI-based", "rssi", 0.55, True),
     ]
     rows = []
-    for name, featurizer, paper, approx in featurizers:
-        dataset = generator.featurize(raw, featurizer=featurizer)
+    for name, channel_set, paper, approx in channel_sets:
+        dataset = generator.featurize(raw, featurizer=M2AIFeaturizer(channel_set))
         result, _ = train_eval_m2ai(dataset, budget["training"], split_seed=seed)
         rows.append(ExperimentRow(name, paper, result.accuracy, approx=approx))
     best = max(rows, key=lambda r: r.measured)

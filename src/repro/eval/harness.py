@@ -18,6 +18,7 @@ from repro.core.config import M2AIConfig
 from repro.core.dataset import ActivityDataset
 from repro.core.pipeline import EvaluationResult, M2AIPipeline, baseline_arrays
 from repro.data.generator import GenerationConfig, RawSample, SyntheticDatasetGenerator
+from repro.dsp.features import M2AIFeaturizer
 from repro.ml import (
     AdaBoostClassifier,
     DecisionTreeClassifier,
@@ -97,14 +98,16 @@ _DATASET_MEMO: dict[tuple, ActivityDataset] = {}
 
 
 def get_dataset(
-    config: GenerationConfig, featurizer=None, use_calibration: bool = True
+    config: GenerationConfig,
+    featurizer: M2AIFeaturizer | None = None,
+    use_calibration: bool = True,
 ) -> ActivityDataset:
     """Featurised dataset over the memoised raw recordings.
 
     Memoised per (config, featuriser, calibration) so repeat callers —
     and the training memo keyed on dataset identity — see one object.
     """
-    feat_key = getattr(featurizer, "name", None) if featurizer is not None else "m2ai"
+    feat_key = featurizer.name if featurizer is not None else "m2ai"
     key = (config, feat_key, use_calibration)
     if key not in _DATASET_MEMO:
         raw = get_raw_samples(config)

@@ -56,6 +56,9 @@ class StubFeaturizer:
             channels={"pseudo": np.zeros((n_frames, 1, 3))}, label=label
         )
 
+    def transform_many(self, windows):
+        return [self.transform(log, psi, n_frames) for log, psi, n_frames in windows]
+
 
 class StubPipeline:
     """Duck-typed fitted pipeline with a fixed softmax output."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data import GenerationConfig, SyntheticDatasetGenerator, tiny_generation, vary
-from repro.dsp.features import RssiFeaturizer
+from repro.dsp.features import M2AIFeaturizer
 
 
 class TestGenerationConfig:
@@ -100,7 +100,7 @@ class TestFeaturize:
         )
         generator = SyntheticDatasetGenerator(config)
         raw = generator.generate_raw()
-        ds = generator.featurize(raw, featurizer=RssiFeaturizer())
+        ds = generator.featurize(raw, featurizer=M2AIFeaturizer("rssi"))
         assert set(ds.channel_shapes) == {"rssi"}
 
     def test_calibration_toggle_changes_features(self):

@@ -136,13 +136,12 @@ def build_spectrum_frames(
     log: ReadLog,
     psi: np.ndarray,
     n_frames: int | None = None,
-    angles_deg: np.ndarray | None = None,
     include_pseudo: bool = True,
     include_period: bool = True,
     label: str | None = None,
 ) -> FeatureFrames:
     """Featurise one window on its own (healthy or dead-port)."""
-    grid = DEFAULT_ANGLES_DEG if angles_deg is None else np.asarray(angles_deg)
+    grid = DEFAULT_ANGLES_DEG
     snapshot_sets = build_snapshots_all(log, psi, n_frames)
     frames = snapshot_sets[0].n_frames
     n_tags = len(snapshot_sets)

@@ -35,7 +35,7 @@ from repro.dsp import (
     steering_cache_info,
     steering_matrix,
 )
-from repro.dsp.snapshots import tag_snapshot_set
+from repro.dsp.snapshots import build_snapshots_many, frame_count
 from tests.dsp import covariance_oracle, spectrum_oracle
 
 RTOL = 1e-12
@@ -74,14 +74,12 @@ def recorded_dwells(log):
     The dwells carry what random stacks do not: real multipath
     structure, hopped wavelengths and the reader's own read gaps.
     """
-    z, valid, wavelengths = [], [], []
-    for snaps in tag_snapshot_set(log, uncalibrated(log)):
-        for f in range(snaps.n_frames):
-            if snaps.frame_valid(f):
-                z.append(snaps.z[f])
-                valid.append(snaps.valid[f])
-                wavelengths.append(float(snaps.wavelength_m[f]))
-    return np.stack(z), np.stack(valid), np.asarray(wavelengths)
+    z, valid, wavelength, _frame_time = build_snapshots_many(
+        [log], [uncalibrated(log)], frame_count(log)
+    )
+    # The (tag, dwell)s that saw >= 2 ports, tag-major.
+    usable = valid[0].any(axis=2).sum(axis=2) >= 2
+    return z[0][usable], valid[0][usable], wavelength[0][usable]
 
 
 def dwells(request, source):

@@ -1,21 +1,38 @@
-"""Doppler estimation from intra-dwell phase rotation."""
+"""Doppler estimation from intra-dwell phase rotation.
+
+Each known-rate case runs through both the production kernel
+(:func:`~repro.dsp.doppler.snapshot_doppler`, which the ``"doppler"``
+channel set uses) and the scalar slope fit it replaced
+(:func:`tests.dsp.featurizer_oracle.doppler_from_phases`).
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.dsp.doppler import DopplerFeaturizer, doppler_from_phases, dwell_doppler
+from repro.dsp import M2AIFeaturizer, snapshot_doppler, uncalibrated
 from repro.dsp.music import PHASE_MULTIPLIER
-from repro.dsp import uncalibrated
 from repro.dsp.snapshots import build_snapshots
+from tests.dsp.featurizer_oracle import doppler_from_phases, dwell_doppler
+
+
+def kernel_doppler(psi, times):
+    """The production kernel on one antenna's run of uniformly spaced rounds."""
+    z = np.exp(1j * np.asarray(psi))[:, None]  # (K rounds, 1 antenna)
+    round_s = float(times[1] - times[0]) if len(times) > 1 else 0.1
+    return float(snapshot_doppler(z, np.ones(z.shape, dtype=bool), round_s)[0])
+
+
+ESTIMATORS = (doppler_from_phases, kernel_doppler)
 
 
 class TestDopplerFromPhases:
     def test_stationary_zero(self):
         times = np.arange(4) * 0.1
         psi = np.full(4, 1.2)
-        assert doppler_from_phases(psi, times) == pytest.approx(0.0)
+        for estimate in ESTIMATORS:
+            assert estimate(psi, times) == pytest.approx(0.0)
 
     def test_known_rotation_rate(self):
         # One-way Doppler f means doubled-phase rotation of
@@ -23,13 +40,15 @@ class TestDopplerFromPhases:
         f_true = 1.0  # inside the +/-1.25 Hz alias limit
         times = np.arange(4) * 0.1
         psi = np.mod(np.pi * PHASE_MULTIPLIER * f_true * times, 2 * np.pi)
-        assert doppler_from_phases(psi, times) == pytest.approx(f_true, rel=1e-6)
+        for estimate in ESTIMATORS:
+            assert estimate(psi, times) == pytest.approx(f_true, rel=1e-6)
 
     def test_negative_doppler(self):
         f_true = -0.8
         times = np.arange(4) * 0.1
         psi = np.mod(np.pi * PHASE_MULTIPLIER * f_true * times, 2 * np.pi)
-        assert doppler_from_phases(psi, times) == pytest.approx(f_true, rel=1e-6)
+        for estimate in ESTIMATORS:
+            assert estimate(psi, times) == pytest.approx(f_true, rel=1e-6)
 
     def test_wrap_handling(self):
         # Rotation fast enough to wrap within the window but slow
@@ -37,10 +56,12 @@ class TestDopplerFromPhases:
         f_true = 0.9
         times = np.arange(8) * 0.1
         psi = np.mod(np.pi * PHASE_MULTIPLIER * f_true * times + 5.0, 2 * np.pi)
-        assert doppler_from_phases(psi, times) == pytest.approx(f_true, rel=1e-6)
+        for estimate in ESTIMATORS:
+            assert estimate(psi, times) == pytest.approx(f_true, rel=1e-6)
 
     def test_single_sample_zero(self):
-        assert doppler_from_phases(np.array([1.0]), np.array([0.0])) == 0.0
+        for estimate in ESTIMATORS:
+            assert estimate(np.array([1.0]), np.array([0.0])) == 0.0
 
     def test_misaligned_rejected(self):
         with pytest.raises(ValueError):
@@ -74,12 +95,16 @@ class TestDwellDoppler:
         d_still = dwell_doppler(build_snapshots(log, psi, 0), round_s)
         d_move = dwell_doppler(build_snapshots(log, psi, 1), round_s)
         assert np.abs(d_move).mean() > np.abs(d_still).mean()
+        frames = M2AIFeaturizer("doppler").transform(log, psi).channels["doppler"]
+        assert np.abs(frames[:, 1]).mean() > np.abs(frames[:, 0]).mean()
+        np.testing.assert_array_equal(frames[:, 0], d_still)
+        np.testing.assert_array_equal(frames[:, 1], d_move)
 
 
 class TestDopplerFeaturizer:
     def test_shapes(self, small_log):
         psi = uncalibrated(small_log)
-        frames = DopplerFeaturizer().transform(small_log, psi, label="A01")
+        frames = M2AIFeaturizer("doppler").transform(small_log, psi, label="A01")
         arr = frames.channels["doppler"]
         assert arr.shape[1] == small_log.n_tags
         assert arr.shape[2] == small_log.meta.n_antennas

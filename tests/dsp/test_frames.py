@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.dsp import (
-    FEATURIZERS,
+    CHANNEL_SETS,
     FeatureFrames,
+    M2AIFeaturizer,
     build_spectrum_frames,
     normalize_pseudospectrum,
     power_to_db,
@@ -49,9 +50,9 @@ class TestBuildSpectrumFrames:
 
     def test_selective_channels(self, small_log):
         psi = uncalibrated(small_log)
-        pseudo_only = build_spectrum_frames(small_log, psi, include_period=False)
+        pseudo_only = build_spectrum_frames(small_log, psi, channels=("pseudo",))
         assert set(pseudo_only.channels) == {"pseudo"}
-        period_only = build_spectrum_frames(small_log, psi, include_pseudo=False)
+        period_only = build_spectrum_frames(small_log, psi, channels=("period",))
         assert set(period_only.channels) == {"period"}
 
     def test_values_finite(self, small_log):
@@ -74,24 +75,28 @@ class TestBuildSpectrumFrames:
 
 
 class TestFeaturizers:
-    @pytest.mark.parametrize("name", sorted(FEATURIZERS))
+    @pytest.mark.parametrize("name", sorted(CHANNEL_SETS))
     def test_transform_shapes(self, small_log, name):
         psi = uncalibrated(small_log)
-        frames = FEATURIZERS[name].transform(small_log, psi, label="A02")
+        frames = M2AIFeaturizer(name).transform(small_log, psi, label="A02")
         assert isinstance(frames, FeatureFrames)
         assert frames.label == "A02"
         assert frames.n_tags == small_log.n_tags
         for arr in frames.channels.values():
             assert np.isfinite(arr).all()
 
+    def test_unknown_set_rejected(self):
+        with pytest.raises(ValueError):
+            M2AIFeaturizer("nope")
+
     def test_m2ai_has_both_channels(self, small_log):
         psi = uncalibrated(small_log)
-        frames = FEATURIZERS["m2ai"].transform(small_log, psi)
+        frames = M2AIFeaturizer("m2ai").transform(small_log, psi)
         assert set(frames.channels) == {"pseudo", "period"}
 
     def test_phase_featurizer_unit_circle(self, small_log):
         psi = uncalibrated(small_log)
-        frames = FEATURIZERS["phase"].transform(small_log, psi)
+        frames = M2AIFeaturizer("phase").transform(small_log, psi)
         arr = frames.channels["phase"]
         n_ant = small_log.meta.n_antennas
         magnitudes = np.hypot(arr[..., :n_ant], arr[..., n_ant:])
@@ -99,7 +104,7 @@ class TestFeaturizers:
 
     def test_rssi_featurizer_in_db_range(self, small_log):
         psi = uncalibrated(small_log)
-        frames = FEATURIZERS["rssi"].transform(small_log, psi)
+        frames = M2AIFeaturizer("rssi").transform(small_log, psi)
         arr = frames.channels["rssi"]
         observed = arr[arr != 0.0]
         assert (observed > -120.0).all() and (observed < 0.0).all()

@@ -22,7 +22,7 @@ from repro.dsp import (
     uncalibrated,
 )
 from repro.dsp.features import M2AIFeaturizer
-from repro.dsp.snapshots import frame_count, tag_snapshot_set
+from repro.dsp.snapshots import TagSnapshots, frame_count
 from tests.dsp import frames_oracle
 
 
@@ -45,11 +45,11 @@ def _assert_frames_equal(got, want):
     )
 
 
-def _assert_matches_oracle(windows, **kwargs):
-    many = build_spectrum_frames_many(windows, **kwargs)
+def _assert_matches_oracle(windows):
+    many = build_spectrum_frames_many(windows)
     assert len(many) == len(windows)
     for (log, psi, n_frames), pooled in zip(windows, many):
-        want = frames_oracle.build_spectrum_frames(log, psi, n_frames, **kwargs)
+        want = frames_oracle.build_spectrum_frames(log, psi, n_frames)
         _assert_frames_equal(pooled, want)
     return many
 
@@ -75,7 +75,19 @@ class TestBuildSnapshotsMany:
     def test_single_window_slices_match_oracle(self, small_log, n_frames):
         psi = uncalibrated(small_log)
         want = frames_oracle.build_snapshots_all(small_log, psi, n_frames)
-        got = tag_snapshot_set(small_log, psi, n_frames)
+        frames = frame_count(small_log) if n_frames is None else n_frames
+        z, valid, wavelength, frame_time = build_snapshots_many(
+            [small_log], [psi], frames
+        )
+        got = [
+            TagSnapshots(
+                z=z[0, k],
+                valid=valid[0, k],
+                wavelength_m=wavelength[0, k],
+                frame_time_s=frame_time[0],
+            )
+            for k in range(small_log.n_tags)
+        ]
         assert len(got) == len(want) == small_log.n_tags
         for k, (mine, ref) in enumerate(zip(got, want)):
             one = build_snapshots(small_log, psi, k, n_frames=n_frames)
@@ -122,14 +134,14 @@ class TestBuildSpectrumFramesMany:
 
     def test_batch_of_one_matches_oracle(self, small_log):
         psi = uncalibrated(small_log)
-        grid = np.linspace(-60.0, 60.0, 31)
-        for kwargs in (
-            {},
-            {"include_pseudo": False},
-            {"include_period": False},
-            {"angles_deg": grid},
+        for channels, kwargs in (
+            (("pseudo", "period"), {}),
+            (("period",), {"include_pseudo": False}),
+            (("pseudo",), {"include_period": False}),
         ):
-            got = build_spectrum_frames(small_log, psi, label="A01", **kwargs)
+            got = build_spectrum_frames(
+                small_log, psi, channels=channels, label="A01"
+            )
             want = frames_oracle.build_spectrum_frames(
                 small_log, psi, label="A01", **kwargs
             )

@@ -37,10 +37,10 @@ class TestDatasetMemo:
         assert a is b
 
     def test_featurizer_key_separates(self):
-        from repro.dsp.features import RssiFeaturizer
+        from repro.dsp.features import M2AIFeaturizer
 
         a = get_dataset(TINY)
-        b = get_dataset(TINY, featurizer=RssiFeaturizer())
+        b = get_dataset(TINY, featurizer=M2AIFeaturizer("rssi"))
         assert a is not b
         assert set(b.channel_shapes) == {"rssi"}
 
