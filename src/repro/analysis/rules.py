@@ -657,24 +657,24 @@ class PublicDocstringRule(LintRule):
 class BarePoolRule(LintRule):
     """RPR011: no bare ``multiprocessing.Pool`` in library code.
 
-    A bare pool has none of the serving layer's safety rails: no
-    liveness probing (a dead worker hangs ``map`` forever), no crash
-    attribution, no stream reassignment, and its lazy pickling turns
-    large read logs into double copies.  Library code that needs
-    worker processes goes through :mod:`repro.serving.workers`
-    (``ShardWorker`` and friends), which owns the process lifecycle
-    explicitly.
+    A bare pool has no liveness probing (a dead worker hangs ``map``
+    forever) and no crash attribution.  Library code that needs
+    worker processes uses :mod:`concurrent.futures` with explicit
+    liveness handling, or one spawn-context ``Process`` per task
+    whose exit code the caller reads, as :mod:`repro.experiments.runner`
+    does.
     """
 
     code = "RPR011"
     name = "bare-pool"
     description = (
-        "bare multiprocessing.Pool in library code; use the supervised "
-        "workers in repro.serving.workers instead"
+        "bare multiprocessing.Pool in library code; use concurrent.futures "
+        "or one spawn-context Process per task instead"
     )
     hint = (
-        "route worker processes through repro.serving.workers "
-        "(ShardWorker/ProcessShardWorker) so crashes are detected and "
+        "use concurrent.futures with explicit liveness handling, or one "
+        "spawn-context Process per task whose exitcode you check (as "
+        "repro.experiments.runner does), so crashes are detected and "
         "attributed instead of hanging a Pool"
     )
 
@@ -699,7 +699,7 @@ class BarePoolRule(LintRule):
                         ctx,
                         node,
                         "bare multiprocessing.Pool hides worker crashes; "
-                        "use repro.serving.workers",
+                        "use concurrent.futures or a spawn-context Process",
                     )
             elif isinstance(node, ast.ImportFrom):
                 if node.module in self._BANNED_MODULES and any(
@@ -708,6 +708,7 @@ class BarePoolRule(LintRule):
                     yield self.finding(
                         ctx,
                         node,
-                        f"importing Pool from {node.module} bypasses the "
-                        "supervised worker layer",
+                        f"importing Pool from {node.module} hides worker "
+                        "crashes; use concurrent.futures or a spawn-context "
+                        "Process",
                     )

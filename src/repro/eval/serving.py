@@ -9,7 +9,7 @@ committed as evidence:
   :data:`LATENCY_P95_TOLERANCE` of the fault-free run's.
 
 A second section exercises the fleet's control surface (admission
-rejection, sustained-overload shedding, worker crash reassignment) so
+rejection, sustained-overload shedding, shard crash reassignment) so
 the counters the operators would alert on are demonstrably live.
 
 Serving throughput and latency are measured by perfbench's ``serve``
@@ -74,7 +74,6 @@ def _build_fleet(identifier_factory, workload, n_shards: int) -> FleetServer:
         identifier_factory,
         capacity=len(workload),
         n_shards=n_shards,
-        mode="inline",
         windows_per_stream_per_tick=4,
         max_queued_windows=100_000,  # isolation runs never shed
     )
@@ -227,7 +226,7 @@ def controls_study(identifier_factory, raws) -> dict:
     Raises:
         RuntimeError: when any control fails to engage (no rejection,
             no shed under sustained overload, or no reassignment after
-            a worker death).
+            a shard death).
     """
     workload = _stream_workload(raws, 6)
 
@@ -270,7 +269,7 @@ def controls_study(identifier_factory, raws) -> dict:
     std_depth = shed_fleet.workers[0].queue_depths()["std"]
     shed_fleet.stop()
 
-    # Crash recovery: kill a worker, the next tick reassigns its
+    # Crash recovery: stop a shard; the next tick reassigns its
     # streams and serving resumes.
     crash_fleet = FleetServer(
         identifier_factory,

@@ -1,9 +1,9 @@
 """Multi-tenant fleet serving with per-stream fault isolation.
 
 One fitted pipeline, many independent read streams: the fleet admits
-streams up to capacity, shards them across workers (in-process or one
-OS process per shard), wraps each stream in its own supervisor so
-faults degrade only their own stream, and batches inference across
+streams up to capacity, shards them across in-process
+:class:`ShardServer` shards, wraps each stream in its own supervisor
+so faults degrade only their own stream, and batches inference across
 streams inside each shard.  Quickstart::
 
     from repro.serving import FleetServer
@@ -35,41 +35,17 @@ from repro.serving.shard import (
     ShardServer,
     StreamLane,
 )
-from repro.serving.sharedlog import (
-    SHARED_MEMORY_MIN_BYTES,
-    ShippedLog,
-    discard_shipped,
-    ship_log,
-    unship_log,
-)
-from repro.serving.workers import (
-    InlineShardWorker,
-    ProcessShardWorker,
-    ShardWorker,
-    TickResult,
-    WorkerCrashedError,
-)
 
 __all__ = [
     "REASON_CAPACITY",
-    "SHARED_MEMORY_MIN_BYTES",
     "STAGE_BATCH_GUARD",
     "STAGE_SHED",
     "AdmissionResult",
     "FleetHealth",
     "FleetServer",
-    "InlineShardWorker",
     "NonFiniteSampleError",
-    "ProcessShardWorker",
     "ShardHealth",
     "ShardServer",
-    "ShardWorker",
-    "ShippedLog",
     "StreamLane",
     "SubmitReceipt",
-    "TickResult",
-    "WorkerCrashedError",
-    "discard_shipped",
-    "ship_log",
-    "unship_log",
 ]

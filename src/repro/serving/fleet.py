@@ -1,11 +1,10 @@
 """The fleet: admission, sharding, shedding, crash recovery, health.
 
-A deployment serving "millions of users" is thousands of simultaneous
-(room, reader, person-set) streams, not one.  :class:`FleetServer`
-spreads admitted streams over shard workers (in-process by default,
-one OS process per shard with ``mode="process"``), wraps each stream
-in its own supervisor, and cross-stream batches inference inside each
-shard.  On top sit the fleet-level robustness controls:
+:class:`FleetServer` spreads admitted (room, reader, person-set)
+streams over in-process :class:`~repro.serving.shard.ShardServer`
+shards, wraps each stream in its own supervisor, and cross-stream
+batches inference inside each shard.  On top sit the fleet-level
+robustness controls:
 
 * **admission control** — past ``capacity`` a new stream is rejected
   with an explicit decision; windows submitted for a rejected stream
@@ -15,9 +14,10 @@ shard.  On top sit the fleet-level robustness controls:
   ``max_queued_windows`` for ``overload_grace_ticks`` consecutive
   ticks, oldest windows are dropped (dead-lettered) from the
   *lowest-priority* streams first until the backlog fits;
-* **crash recovery** — a dead worker is detected at the next tick,
-  replaced, and its streams reassigned to the replacement (their
-  supervisor state restarts; the reassignment is counted);
+* **crash recovery** — a stopped shard is detected at the next tick
+  or submit, replaced, and its streams reassigned to the replacement
+  (their supervisor state restarts; its queued windows are dropped;
+  the reassignment is counted);
 * **health roll-up** — per-stream supervisor states aggregate to
   per-shard and fleet-wide HEALTHY/DEGRADED/FAILED, exported through
   ``repro.obs`` gauges and counters.
@@ -34,12 +34,7 @@ from repro.runtime.supervisor import (
     HEALTH_FAILED,
     HEALTH_HEALTHY,
 )
-from repro.serving.workers import (
-    InlineShardWorker,
-    ProcessShardWorker,
-    ShardWorker,
-    WorkerCrashedError,
-)
+from repro.serving.shard import ShardServer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.streaming import WindowDecision
@@ -103,8 +98,8 @@ class ShardHealth:
     Attributes:
         shard_id: shard index.
         state: worst state across the shard's streams (FAILED when
-            the worker itself is dead).
-        worker_alive: whether the shard worker is running.
+            the shard itself is stopped).
+        worker_alive: whether the shard is running.
         streams: stream id → that stream's supervisor health dict.
     """
 
@@ -134,7 +129,7 @@ class FleetHealth:
         admitted_total: streams admitted since construction.
         rejected_total: admission rejections since construction.
         shed_windows_total: windows dropped by fleet load shedding.
-        reassigned_total: stream reassignments after worker crashes.
+        reassigned_total: stream reassignments after shard crashes.
     """
 
     state: str
@@ -174,18 +169,16 @@ class _StreamInfo:
 
 
 class FleetServer:
-    """Multi-tenant serving over shard workers.
+    """Multi-tenant serving over in-process shards.
 
     Args:
         identifier_factory: zero-argument callable returning a fresh
             :class:`~repro.core.streaming.StreamingIdentifier` over the
-            shared fitted pipeline; must be importable from a child
-            process in ``mode="process"``.
+            shared fitted pipeline.
         capacity: max admitted streams; admission past it is rejected.
-        n_shards: shard workers to spread streams over.
-        mode: ``"inline"`` (shards in this process; default) or
-            ``"process"`` (one OS process per shard, shared-memory log
-            transport, crash detection + reassignment).
+        n_shards: shards to spread streams over.
+        mode: must be ``"inline"`` (the default and only legal value;
+            every shard runs in this process).
         windows_per_stream_per_tick: windows a lane may serve per tick.
         max_queued_windows: fleet-wide backlog watermark that arms
             load shedding.
@@ -196,8 +189,8 @@ class FleetServer:
 
     Raises:
         ValueError: on a non-positive capacity, shard count, backlog
-            watermark, grace period or per-tick window budget, or an
-            unknown mode — checked before any worker is spawned.
+            watermark, grace period or per-tick window budget, or any
+            mode but ``"inline"`` — checked before any shard is built.
     """
 
     def __init__(
@@ -215,8 +208,10 @@ class FleetServer:
             raise ValueError("capacity must be >= 1")
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if mode not in ("inline", "process"):
-            raise ValueError(f"unknown fleet mode {mode!r}")
+        if mode != "inline":
+            raise ValueError(
+                f"unknown fleet mode {mode!r}; the only mode is 'inline'"
+            )
         if max_queued_windows < 1:
             raise ValueError("max_queued_windows must be >= 1")
         if overload_grace_ticks < 1:
@@ -224,16 +219,12 @@ class FleetServer:
         if windows_per_stream_per_tick < 1:
             raise ValueError("windows_per_stream_per_tick must be >= 1")
         self.capacity = int(capacity)
-        self.mode = mode
         self.max_queued_windows = int(max_queued_windows)
         self.overload_grace_ticks = int(overload_grace_ticks)
         self._factory = identifier_factory
-        self._worker_kwargs = {
-            "identifier_factory": identifier_factory,
-            "windows_per_stream": int(windows_per_stream_per_tick),
-            "supervisor_kwargs": dict(supervisor_kwargs or {}),
-        }
-        self.workers: list[ShardWorker] = [
+        self._windows_per_stream = int(windows_per_stream_per_tick)
+        self._supervisor_kwargs = dict(supervisor_kwargs or {})
+        self.workers: list[ShardServer] = [
             self._spawn_worker(i) for i in range(int(n_shards))
         ]
         # Windowing parameters for answering rejected streams' windows.
@@ -301,7 +292,9 @@ class FleetServer:
 
         A rejected stream's windows are answered immediately with
         ``REASON_ADMISSION`` abstain decisions — the fleet never
-        silently swallows data it declined to serve.
+        silently swallows data it declined to serve.  Stopped shards
+        are replaced first, so a stream whose shard died enqueues on
+        the replacement instead of a queue no tick will serve.
 
         Raises:
             KeyError: when the stream was never offered to
@@ -318,6 +311,7 @@ class FleetServer:
                 enqueued=0,
                 decisions=self._admission_decisions(log),
             )
+        self._recover_crashed_workers()
         enqueued = self.workers[info.shard].submit(stream_id, log)
         return SubmitReceipt(stream_id=stream_id, enqueued=enqueued)
 
@@ -333,13 +327,7 @@ class FleetServer:
         self._shed_if_overloaded()
         merged: dict[str, list["WindowDecision"]] = {}
         for worker in self.workers:
-            try:
-                result = worker.tick()
-            except WorkerCrashedError:
-                # Died mid-tick: next tick reassigns its streams.
-                counter("serving.workers.crashed_total").inc()
-                continue
-            for sid, decisions in result.decisions.items():
+            for sid, decisions in worker.tick().items():
                 merged.setdefault(sid, []).extend(decisions)
         self._export_health_gauges()
         return merged
@@ -349,7 +337,7 @@ class FleetServer:
 
         Raises:
             RuntimeError: when queues fail to empty within
-                ``max_ticks`` (a wedged worker would otherwise spin
+                ``max_ticks`` (a wedged shard would otherwise spin
                 this loop forever).
         """
         merged: dict[str, list["WindowDecision"]] = {}
@@ -361,14 +349,12 @@ class FleetServer:
         raise RuntimeError(f"fleet failed to drain within {max_ticks} ticks")
 
     def total_queued(self) -> int:
-        """Fleet-wide queued-window backlog (dead workers count 0)."""
-        total = 0
-        for worker in self.workers:
-            try:
-                total += sum(worker.queue_depths().values())
-            except WorkerCrashedError:
-                continue
-        return total
+        """Fleet-wide queued-window backlog (stopped shards count 0)."""
+        return sum(
+            sum(worker.queue_depths().values())
+            for worker in self.workers
+            if worker.alive()
+        )
 
     # -- health ----------------------------------------------------------
 
@@ -377,12 +363,7 @@ class FleetServer:
         shards: list[ShardHealth] = []
         for index, worker in enumerate(self.workers):
             alive = worker.alive()
-            streams: dict[str, dict] = {}
-            if alive:
-                try:
-                    streams = worker.health()
-                except WorkerCrashedError:
-                    alive = False
+            streams = worker.health() if alive else {}
             if not alive:
                 state = HEALTH_FAILED
             elif streams:
@@ -419,16 +400,19 @@ class FleetServer:
         )
 
     def stop(self) -> None:
-        """Stop every worker (idempotent)."""
+        """Stop every shard (idempotent)."""
         for worker in self.workers:
             worker.stop()
 
     # -- internals -------------------------------------------------------
 
-    def _spawn_worker(self, shard_id: int) -> ShardWorker:
-        if self.mode == "process":
-            return ProcessShardWorker(shard_id, **self._worker_kwargs)
-        return InlineShardWorker(shard_id, **self._worker_kwargs)
+    def _spawn_worker(self, shard_id: int) -> ShardServer:
+        return ShardServer(
+            shard_id,
+            self._factory,
+            windows_per_stream=self._windows_per_stream,
+            supervisor_kwargs=self._supervisor_kwargs,
+        )
 
     def _least_loaded_shard(self) -> int:
         loads = [0] * len(self.workers)
@@ -457,11 +441,10 @@ class FleetServer:
         ]
 
     def _recover_crashed_workers(self) -> None:
-        """Replace dead workers and reassign their streams."""
+        """Replace stopped shards and reassign their streams."""
         for index, worker in enumerate(self.workers):
             if worker.alive():
                 continue
-            worker.stop()
             replacement = self._spawn_worker(index)
             self.workers[index] = replacement
             orphaned = [
@@ -470,7 +453,7 @@ class FleetServer:
                 if info.shard == index
             ]
             for sid, info in orphaned:
-                # Queued windows died with the worker; the stream
+                # Queued windows die with the shard; the stream
                 # itself survives with a fresh supervisor.
                 replacement.add_stream(
                     sid, priority=info.priority, calibrator=info.calibrator
@@ -492,10 +475,7 @@ class FleetServer:
         excess = total - self.max_queued_windows
         depths: dict[str, int] = {}
         for worker in self.workers:
-            try:
-                depths.update(worker.queue_depths())
-            except WorkerCrashedError:
-                continue
+            depths.update(worker.queue_depths())
         # Lowest priority first; deepest queue first within a priority.
         order = sorted(
             (sid for sid in depths if sid in self._streams),
@@ -507,11 +487,7 @@ class FleetServer:
             take = min(depths[sid], excess)
             if take <= 0:
                 continue
-            info = self._streams[sid]
-            try:
-                dropped = self.workers[info.shard].shed(sid, take)
-            except WorkerCrashedError:
-                continue
+            dropped = self.workers[self._streams[sid].shard].shed(sid, take)
             excess -= dropped
             self._shed_total += dropped
 

@@ -124,6 +124,17 @@ class ShardServer:
         # The shard's own identifier scores the shared batch; it never
         # carries a calibrator (lanes calibrate during prepare).
         self._identifier = identifier_factory()
+        self._stopped = False
+
+    # -- lifecycle -------------------------------------------------------
+
+    def alive(self) -> bool:
+        """True until :meth:`stop`; the fleet replaces a dead shard."""
+        return not self._stopped
+
+    def stop(self) -> None:
+        """Mark the shard dead (idempotent)."""
+        self._stopped = True
 
     # -- lane management ------------------------------------------------
 

@@ -163,9 +163,13 @@ GOOD_EXAMPLES: dict[str, tuple[str, str]] = {
     ),
     "RPR011": (
         "src/repro/module.py",
-        "from repro.serving.workers import ProcessShardWorker\n"
-        "def fan_out(factory):\n"
-        "    return ProcessShardWorker(0, factory)\n",
+        "import multiprocessing\n"
+        "def fan_out(task, args):\n"
+        "    ctx = multiprocessing.get_context('spawn')\n"
+        "    process = ctx.Process(target=task, args=args)\n"
+        "    process.start()\n"
+        "    process.join()\n"
+        "    return process.exitcode\n",
     ),
 }
 

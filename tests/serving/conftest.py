@@ -32,12 +32,12 @@ _SHARED_STUB = StubPipeline()
 
 
 def make_identifier() -> StreamingIdentifier:
-    """Module-level factory (picklable) over one shared stub pipeline."""
+    """Module-level factory over one shared stub pipeline."""
     return StreamingIdentifier(pipeline=_SHARED_STUB, window_s=2.4, min_reads=5)
 
 
 def make_factory(pipeline=None, window_s: float = 2.4, min_reads: int = 5):
-    """A closure factory for inline-mode tests (fork makes it portable)."""
+    """A closure factory over its own stub pipeline (or ``pipeline``)."""
     pipe = pipeline if pipeline is not None else StubPipeline()
 
     def factory() -> StreamingIdentifier:

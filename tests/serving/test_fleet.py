@@ -79,7 +79,7 @@ class TestAdmission:
 
 
 class TestConstruction:
-    @pytest.mark.parametrize("mode", ["inline", "process"])
+    @pytest.mark.parametrize("mode", ["inline"])
     def test_rejects_empty_tick_budget_before_spawning(self, mode, monkeypatch):
         spawned = []
         monkeypatch.setattr(
@@ -87,6 +87,15 @@ class TestConstruction:
         )
         with pytest.raises(ValueError, match="windows_per_stream_per_tick"):
             FleetServer(make_identifier, mode=mode, windows_per_stream_per_tick=0)
+        assert spawned == []
+
+    def test_rejects_process_mode_before_spawning(self, monkeypatch):
+        spawned = []
+        monkeypatch.setattr(
+            FleetServer, "_spawn_worker", lambda self, i: spawned.append(i)
+        )
+        with pytest.raises(ValueError, match="fleet mode 'process'"):
+            FleetServer(make_identifier, mode="process")
         assert spawned == []
 
 
@@ -196,3 +205,74 @@ class TestHealth:
         assert health.state == HEALTH_FAILED
         assert health.shards[0].state == HEALTH_FAILED
         assert health.shards[1].state == HEALTH_HEALTHY
+
+
+def _a_on_shard_0_b_on_shard_1() -> FleetServer:
+    fleet = _fleet(capacity=2, n_shards=2)
+    fleet.admit("a")
+    fleet.admit("b")
+    return fleet
+
+
+class TestCrashRecovery:
+    """A stopped shard is the crash: the fleet replaces it and carries on."""
+
+    def test_fleet_reassigns_streams_and_keeps_serving(self):
+        fleet = _fleet(capacity=4, n_shards=2)
+        for i in range(4):
+            fleet.admit(f"s{i}")
+        log = make_log(n=1500, seed=0, duration_s=10.0)
+        for i in range(4):
+            fleet.submit(f"s{i}", log)
+        first = fleet.drain()
+        assert all(len(ds) == 4 for ds in first.values())
+
+        victims = set(fleet.workers[0].stream_ids())
+        assert victims
+        fleet.workers[0].stop()
+        assert not fleet.workers[0].alive()
+
+        fleet.tick()  # detects the stopped shard, replaces it, reassigns
+        health = fleet.health()
+        assert health.reassigned_total == len(victims)
+        assert fleet.workers[0].alive()
+        assert set(fleet.workers[0].stream_ids()) == victims
+
+        # The reassigned streams serve again on the replacement.
+        for i in range(4):
+            fleet.submit(f"s{i}", log)
+        second = fleet.drain()
+        assert set(second) == {f"s{i}" for i in range(4)}
+        assert all(len(ds) == 4 for ds in second.values())
+
+    def test_crash_only_loses_the_dead_shards_queue(self):
+        fleet = _a_on_shard_0_b_on_shard_1()
+        log = make_log(n=1500, seed=0, duration_s=10.0)
+        fleet.submit("a", log)
+        fleet.submit("b", log)
+        fleet.workers[0].stop()
+        decisions = fleet.drain()
+        # Shard 1's stream is untouched by shard 0's death.
+        assert len(decisions.get("b", [])) == 4
+        assert "a" not in decisions  # its queue died with the shard
+        # ...but the stream itself survives and serves new data.
+        fleet.submit("a", log)
+        assert len(fleet.drain()["a"]) == 4
+
+    def test_total_queued_skips_stopped_shards(self):
+        fleet = _a_on_shard_0_b_on_shard_1()
+        log = make_log(n=1500, seed=0, duration_s=10.0)
+        fleet.submit("a", log)
+        fleet.submit("b", log)
+        assert fleet.total_queued() == 8
+        fleet.workers[0].stop()
+        assert fleet.total_queued() == 4
+
+    def test_submit_to_a_stopped_shard_lands_on_its_replacement(self):
+        fleet = _a_on_shard_0_b_on_shard_1()
+        fleet.workers[0].stop()
+        receipt = fleet.submit("a", make_log(n=1500, seed=0, duration_s=10.0))
+        assert receipt.enqueued == 4
+        # Every submitted window is served, none vanishes with the shard.
+        assert len(fleet.drain().get("a", [])) == 4
+        assert fleet.health().reassigned_total == 1

@@ -40,7 +40,6 @@ def _fleet_decisions(factory, logs):
         factory,
         capacity=len(logs),
         n_shards=2,
-        mode="inline",
         windows_per_stream_per_tick=8,
     )
     for sid in logs:
@@ -221,6 +220,15 @@ class TestShedAndLanes:
         shard.remove_stream("s0")
         assert shard.stream_ids() == []
         assert shard.tick() == {}
+
+
+class TestLifecycle:
+    def test_stop_is_idempotent(self):
+        shard = ShardServer(0, make_factory())
+        assert shard.alive()
+        shard.stop()
+        shard.stop()
+        assert not shard.alive()
 
 
 def test_stage_failure_reason_used_for_quarantine():
