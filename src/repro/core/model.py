@@ -20,6 +20,7 @@ from repro.core.config import M2AIConfig
 from repro.nn.conv import CHUNK, Conv1d, MaxPool1d
 from repro.nn.layers import Dense, Dropout, Flatten, ReLU, relu, relu_grad
 from repro.nn.module import Module, Sequential
+from repro.nn.parallel import parts, run_parts
 from repro.nn.recurrent import LSTM
 from repro.obs.tracing import span
 
@@ -55,10 +56,14 @@ class ConvBranch(Module):
     samples at a time through conv1 -> ReLU -> conv2 -> ReLU (-> pool),
     forward and backward, so every intermediate of a chunk stays in
     cache; only the relu1 output (channel-major ``(C1, B', L1)``) and
-    the fc input ``(B', C2·L2)`` are whole-batch.  Each GEMM sees the
-    same operands and chunk boundaries as the layer-at-a-time walk, and
-    each ``dW`` adds its chunks in the same order, so the result is
-    bit-equal to it (``tests/nn/branch_oracle.py`` is that walk).
+    the fc input ``(B', C2·L2)`` are whole-batch.  The chunks are split
+    into contiguous parts across cores (:func:`repro.nn.parallel.run_parts`);
+    each part owns its scratch and writes disjoint slices, and backward
+    writes each chunk's ``[dW|db]`` into its own slot, summed in chunk
+    order after the join.  Each GEMM sees the same operands and chunk
+    boundaries as the layer-at-a-time walk, and each ``dW`` adds its
+    chunks in the same order, so the result is bit-equal to it
+    (``tests/nn/branch_oracle.py`` is that walk) at any core count.
     """
 
     fused = ("conv1", "conv2")
@@ -94,24 +99,28 @@ class ConvBranch(Module):
         d2 = np.result_type(d1, conv2.weight.value.dtype)
         w1, w2 = conv1.weight_matrix(d1), conv2.weight_matrix(d2)
         chunk = min(batch, CHUNK)
-        col1 = np.empty(conv1.col_size(chunk, width), dtype=d1)
-        col2 = np.empty(conv2.col_size(chunk, l1), dtype=d2)
-        out1 = np.empty(c1 * chunk * l1, dtype=d1)
-        out2 = np.empty(c2 * chunk * l2, dtype=d2)
         h1 = np.empty((c1, batch, l1), dtype=d1)
         feats = np.empty((batch, c2 * l_fc), dtype=d2)
         argmax = None if pool is None else np.empty((c2, batch, l_fc), dtype=np.intp)
-        for start in range(0, batch, chunk):
-            stop = min(start + chunk, batch)
-            h = h1[:, start:stop]
-            relu(conv1.forward_chunk(x[start:stop].transpose(1, 0, 2), w1, col1, out1), out=h)
-            y2 = conv2.forward_chunk(h, w2, col2, out2)
-            relu(y2, out=y2)
-            f = feats[start:stop].reshape(stop - start, c2, l_fc).transpose(1, 0, 2)
-            if pool is None:
-                f[...] = y2
-            else:
-                f[...], argmax[:, start:stop] = pool.pool(y2)
+
+        def walk(lo: int, hi: int) -> None:
+            col1 = np.empty(conv1.col_size(chunk, width), dtype=d1)
+            col2 = np.empty(conv2.col_size(chunk, l1), dtype=d2)
+            out1 = np.empty(c1 * chunk * l1, dtype=d1)
+            out2 = np.empty(c2 * chunk * l2, dtype=d2)
+            for start in range(lo * chunk, min(hi * chunk, batch), chunk):
+                stop = min(start + chunk, batch)
+                h = h1[:, start:stop]
+                relu(conv1.forward_chunk(x[start:stop].transpose(1, 0, 2), w1, col1, out1), out=h)
+                y2 = conv2.forward_chunk(h, w2, col2, out2)
+                relu(y2, out=y2)
+                f = feats[start:stop].reshape(stop - start, c2, l_fc).transpose(1, 0, 2)
+                if pool is None:
+                    f[...] = y2
+                else:
+                    f[...], argmax[:, start:stop] = pool.pool(y2)
+
+        run_parts(-(-batch // chunk), walk)
         self._cache = (x, h1, feats, argmax)
         return self.relu.forward(self.fc.forward(feats, training=training), training=training)
 
@@ -131,43 +140,57 @@ class ConvBranch(Module):
         c2, l2 = conv2.out_channels, conv2.out_length(l1)
         l_fc = feats.shape[1] // c2
         dtype = np.result_type(dfeats.dtype, h1.dtype, conv2.weight.value.dtype)
-        dw1 = np.zeros((c1, channels * conv1.kernel + 1), dtype=dtype)
-        dw2 = np.zeros((c2, c1 * conv2.kernel + 1), dtype=dtype)
         chunk = min(batch, CHUNK)
-        col1 = np.empty(conv1.col_size(chunk, width), dtype=dtype)
-        col2 = np.empty(conv2.col_size(chunk, l1), dtype=dtype)
-        g2_buf = np.empty(c2 * chunk * l_fc, dtype=dtype)
-        dh_buf = np.empty(c1 * chunk * l1, dtype=dtype)
-        g1_buf = np.empty(c1 * chunk * l1, dtype=dtype)
-        dx = dx_buf = None
-        if input_grad:
-            dx_buf = np.empty(channels * chunk * width, dtype=dtype)
-            dx = np.empty(x.shape, dtype=dtype)
-        for start in range(0, batch, chunk):
-            stop = min(start + chunk, batch)
-            b = stop - start
-            h = h1[:, start:stop]
-            g2 = relu_grad(
-                dfeats[start:stop].reshape(b, c2, l_fc).transpose(1, 0, 2),
-                feats[start:stop].reshape(b, c2, l_fc).transpose(1, 0, 2),
-                out=g2_buf[: c2 * b * l_fc].reshape(c2, b, l_fc),
-            )
-            if pool is not None:
-                g2 = pool.unpool(g2, argmax[:, start:stop], l2)
-            dh = dh_buf[: c1 * b * l1].reshape(c1, b, l1)
-            conv2.backward_chunk(g2.reshape(c2, b * l2), h, dw2, col2, dh)
-            g1 = relu_grad(dh, h, out=g1_buf[: c1 * b * l1].reshape(c1, b, l1))
-            dx_cm = None
-            if dx_buf is not None:
-                dx_cm = dx_buf[: channels * b * width].reshape(channels, b, width)
-            conv1.backward_chunk(
-                g1.reshape(c1, b * l1), x[start:stop].transpose(1, 0, 2), dw1, col1, dx_cm
-            )
-            if dx is not None:
-                dx[start:stop] = dx_cm.transpose(1, 0, 2)
-        conv2.add_grads(dw2)
-        conv1.add_grads(dw1)
+        n_chunks = -(-batch // chunk)
+        # One [dW|db] slot per chunk, summed in chunk order after the walk.
+        dw1_slots = np.empty((n_chunks, c1, channels * conv1.kernel + 1), dtype=dtype)
+        dw2_slots = np.empty((n_chunks, c2, c1 * conv2.kernel + 1), dtype=dtype)
+        dx = np.empty(x.shape, dtype=dtype) if input_grad else None
+
+        def walk(lo: int, hi: int) -> None:
+            col1 = np.empty(conv1.col_size(chunk, width), dtype=dtype)
+            col2 = np.empty(conv2.col_size(chunk, l1), dtype=dtype)
+            g2_buf = np.empty(c2 * chunk * l_fc, dtype=dtype)
+            dh_buf = np.empty(c1 * chunk * l1, dtype=dtype)
+            g1_buf = np.empty(c1 * chunk * l1, dtype=dtype)
+            dx_buf = np.empty(channels * chunk * width, dtype=dtype) if input_grad else None
+            for i in range(lo, hi):
+                start = i * chunk
+                stop = min(start + chunk, batch)
+                b = stop - start
+                h = h1[:, start:stop]
+                g2 = relu_grad(
+                    dfeats[start:stop].reshape(b, c2, l_fc).transpose(1, 0, 2),
+                    feats[start:stop].reshape(b, c2, l_fc).transpose(1, 0, 2),
+                    out=g2_buf[: c2 * b * l_fc].reshape(c2, b, l_fc),
+                )
+                if pool is not None:
+                    g2 = pool.unpool(g2, argmax[:, start:stop], l2)
+                dh = dh_buf[: c1 * b * l1].reshape(c1, b, l1)
+                conv2.backward_chunk(g2.reshape(c2, b * l2), h, dw2_slots[i], col2, dh)
+                g1 = relu_grad(dh, h, out=g1_buf[: c1 * b * l1].reshape(c1, b, l1))
+                dx_cm = None
+                if dx_buf is not None:
+                    dx_cm = dx_buf[: channels * b * width].reshape(channels, b, width)
+                conv1.backward_chunk(
+                    g1.reshape(c1, b * l1), x[start:stop].transpose(1, 0, 2),
+                    dw1_slots[i], col1, dx_cm,
+                )
+                if dx is not None:
+                    dx[start:stop] = dx_cm.transpose(1, 0, 2)
+
+        run_parts(n_chunks, walk)
+        conv2.add_grads(_sum_in_order(dw2_slots))
+        conv1.add_grads(_sum_in_order(dw1_slots))
         return dx
+
+
+def _sum_in_order(slots: np.ndarray) -> np.ndarray:
+    """``0 + slots[0] + slots[1] + ...``, one add at a time, in chunk order."""
+    total = np.zeros(slots.shape[1:], dtype=slots.dtype)
+    for slot in slots:
+        total += slot
+    return total
 
 
 class DenseBranch(_Branch):
@@ -276,7 +299,8 @@ class M2AINet(Module):
             raise ValueError(f"missing input channels: {missing}")
         first = inputs[self.channel_names[0]]
         batch, frames = first.shape[0], first.shape[1]
-        with span("nn.forward", batch=batch, frames=frames):
+        workers = self._walk_workers(batch * frames)
+        with span("nn.forward", batch=batch, frames=frames, workers=workers):
             feats = []
             for name, branch in zip(self.channel_names, self.branches):
                 x = inputs[name]
@@ -311,7 +335,8 @@ class M2AINet(Module):
         if self._batch_frames is None:
             raise RuntimeError("backward before forward")
         batch, frames = self._batch_frames
-        with span("nn.backward", batch=batch, frames=frames):
+        workers = self._walk_workers(batch * frames)
+        with span("nn.backward", batch=batch, frames=frames, workers=workers):
             if self.mode == "cnn":
                 dpooled = self.head.backward(grad[:, 0, :])
                 dseq = np.broadcast_to(
@@ -334,6 +359,12 @@ class M2AINet(Module):
                     n_tags, dim = self.channel_shapes[name]
                     out[name] = dbranch.reshape(batch, frames, n_tags, dim)
             return out
+
+    def _walk_workers(self, rows: int) -> int:
+        """Parts (threads) the conv chunk walk splits ``rows`` rows into (1: serial)."""
+        if not any(isinstance(branch, ConvBranch) for branch in self.branches):
+            return 1
+        return parts(-(-rows // CHUNK))
 
     def predict_logits(self, inputs: dict[str, np.ndarray]) -> np.ndarray:
         """Sample-level logits: mean of the per-frame logits, ``(B, C)``.

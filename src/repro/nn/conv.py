@@ -19,9 +19,11 @@ copies cost what the single GEMM saves.
 
 The per-chunk kernel is public (:meth:`Conv1d.forward_chunk`,
 :meth:`Conv1d.backward_chunk`) so that a conv stack can walk each chunk
-through all of its layers while the chunk is still in cache
-(:class:`repro.core.model.ConvBranch`); :meth:`Conv1d.forward` and
-:meth:`Conv1d.backward` are the one-layer walk over the same kernel.
+through all of its layers while the chunk is still in cache, and split
+its chunks across cores (:class:`repro.core.model.ConvBranch`,
+:mod:`repro.nn.parallel`); :meth:`Conv1d.forward` and
+:meth:`Conv1d.backward` are the serial one-layer walk over the same
+kernel.
 The per-tap kernel it replaced is the parity oracle in
 ``tests/nn/conv_oracle.py``.
 """
@@ -167,22 +169,22 @@ class Conv1d(Module):
         col_buf: np.ndarray,
         dx_cm: np.ndarray | None = None,
     ) -> None:
-        """One chunk backward: accumulate ``[dW|db]``, optionally write ``dx``.
+        """One chunk backward: write its ``[dW|db]``, optionally its ``dx``.
 
         Args:
             g_mat: the chunk's output gradient, contiguous, shape:
                 ``(C_out, b*L_out)``.
             x_cm: the chunk's forward input, channel-major, shape:
                 ``(C, b, L)``.
-            dw_bias: ``(C_out, C·K + 1)`` accumulator; this chunk's
-                ``g_mat @ cols.T`` is added to it, so chunks add in the
-                order they are walked (see :meth:`add_grads`).
+            dw_bias: contiguous ``(C_out, C·K + 1)`` slot that receives
+                this chunk's ``g_mat @ cols.T``; the walk adds the
+                slots in chunk order (see :meth:`add_grads`).
             col_buf: flat column scratch (:meth:`col_size` elements).
             dx_cm: when given, the chunk's input gradient is written
                 into it, shape: ``(C, b, L)``; None skips the ``dcols``
                 GEMM and the col2im adds.
         """
-        dw_bias += g_mat @ self._im2col(x_cm, col_buf).T
+        np.matmul(g_mat, self._im2col(x_cm, col_buf).T, out=dw_bias)
         if dx_cm is None:
             return
         channels, b, length = x_cm.shape
@@ -196,7 +198,7 @@ class Conv1d(Module):
             dx_cm[:, :, source] += dcols[:, k, :, o_lo:o_hi]
 
     def add_grads(self, dw_bias: np.ndarray) -> None:
-        """Add a walk's accumulated ``[dW|db]`` into the parameter gradients."""
+        """Add a walk's summed ``[dW|db]`` into the parameter gradients."""
         rows = self.in_channels * self.kernel
         self.weight.grad += dw_bias[:, :rows].reshape(self.weight.value.shape)
         self.bias.grad += dw_bias[:, rows]
@@ -244,6 +246,7 @@ class Conv1d(Module):
         # [dW | db]: the ones row of the columns turns the bias gradient
         # into one more column of the weight-gradient GEMM.
         dw_bias = np.zeros((c_out, channels * self.kernel + 1), dtype=dtype)
+        dw_chunk = np.empty_like(dw_bias)
         chunk = min(batch, CHUNK)
         col_buf = np.empty(self.col_size(chunk, length), dtype=dtype)
         dx = dx_buf = None
@@ -262,10 +265,11 @@ class Conv1d(Module):
             self.backward_chunk(
                 g_mat.reshape(c_out, b * l_out),
                 x[start:stop].transpose(1, 0, 2),
-                dw_bias,
+                dw_chunk,
                 col_buf,
                 dx_cm,
             )
+            dw_bias += dw_chunk
             if dx is not None:
                 dx[start:stop] = dx_cm.transpose(1, 0, 2)
         self.add_grads(dw_bias)

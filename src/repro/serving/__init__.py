@@ -30,6 +30,7 @@ from repro.serving.fleet import (
 )
 from repro.serving.shard import (
     STAGE_BATCH_GUARD,
+    STAGE_SHARD_LOST,
     STAGE_SHED,
     NonFiniteSampleError,
     ShardServer,
@@ -39,6 +40,7 @@ from repro.serving.shard import (
 __all__ = [
     "REASON_CAPACITY",
     "STAGE_BATCH_GUARD",
+    "STAGE_SHARD_LOST",
     "STAGE_SHED",
     "AdmissionResult",
     "FleetHealth",

@@ -16,8 +16,9 @@ robustness controls:
   *lowest-priority* streams first until the backlog fits;
 * **crash recovery** — a stopped shard is detected at the next tick
   or submit, replaced, and its streams reassigned to the replacement
-  (their supervisor state restarts; its queued windows are dropped;
-  the reassignment is counted);
+  (their supervisor state restarts; the windows queued on it are
+  dead-lettered on the replacement lanes with stage ``serving.shard_lost``;
+  the reassignment and the lost windows are counted);
 * **health roll-up** — per-stream supervisor states aggregate to
   per-shard and fleet-wide HEALTHY/DEGRADED/FAILED, exported through
   ``repro.obs`` gauges and counters.
@@ -34,7 +35,7 @@ from repro.runtime.supervisor import (
     HEALTH_FAILED,
     HEALTH_HEALTHY,
 )
-from repro.serving.shard import ShardServer
+from repro.serving.shard import STAGE_SHARD_LOST, ShardServer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.streaming import WindowDecision
@@ -130,6 +131,8 @@ class FleetHealth:
         rejected_total: admission rejections since construction.
         shed_windows_total: windows dropped by fleet load shedding.
         reassigned_total: stream reassignments after shard crashes.
+        lost_windows_total: windows that were queued on a shard when it
+            stopped (each one dead-lettered, never served).
     """
 
     state: str
@@ -139,6 +142,7 @@ class FleetHealth:
     rejected_total: int
     shed_windows_total: int
     reassigned_total: int
+    lost_windows_total: int
 
     def stream_states(self) -> dict[str, str]:
         """Stream id → HEALTHY/DEGRADED/FAILED across the fleet."""
@@ -157,6 +161,7 @@ class FleetHealth:
             "rejected_total": self.rejected_total,
             "shed_windows_total": self.shed_windows_total,
             "reassigned_total": self.reassigned_total,
+            "lost_windows_total": self.lost_windows_total,
             "shards": [shard.as_dict() for shard in self.shards],
         }
 
@@ -236,6 +241,7 @@ class FleetServer:
         self._rejected_total = 0
         self._shed_total = 0
         self._reassigned_total = 0
+        self._lost_total = 0
 
     # -- admission -------------------------------------------------------
 
@@ -397,6 +403,7 @@ class FleetServer:
             rejected_total=self._rejected_total,
             shed_windows_total=self._shed_total,
             reassigned_total=self._reassigned_total,
+            lost_windows_total=self._lost_total,
         )
 
     def stop(self) -> None:
@@ -441,7 +448,7 @@ class FleetServer:
         ]
 
     def _recover_crashed_workers(self) -> None:
-        """Replace stopped shards and reassign their streams."""
+        """Replace stopped shards, reassign their streams, account their queues."""
         for index, worker in enumerate(self.workers):
             if worker.alive():
                 continue
@@ -453,13 +460,25 @@ class FleetServer:
                 if info.shard == index
             ]
             for sid, info in orphaned:
-                # Queued windows die with the shard; the stream
-                # itself survives with a fresh supervisor.
+                # The stream survives with a fresh supervisor; the
+                # windows queued on the dead shard are not served, but
+                # each one is dead-lettered on the new lane and counted.
                 replacement.add_stream(
                     sid, priority=info.priority, calibrator=info.calibrator
                 )
                 self._reassigned_total += 1
                 counter("serving.workers.reassigned_total").inc()
+                lost = worker.pop_queued(sid)
+                supervisor = replacement.lanes[sid].supervisor
+                for item in lost:
+                    supervisor.drop_window(
+                        item,
+                        stage=STAGE_SHARD_LOST,
+                        error=RuntimeError(f"shard {index} stopped with the window queued"),
+                    )
+                if lost:
+                    self._lost_total += len(lost)
+                    counter("serving.workers.lost_windows_total").inc(len(lost))
             if orphaned:
                 counter("serving.workers.replaced_total").inc()
 

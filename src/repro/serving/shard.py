@@ -54,6 +54,9 @@ STAGE_BATCH_GUARD = "serving.batch"
 STAGE_SHED = "serving.shed"
 """Dead-letter stage for windows dropped by fleet load shedding."""
 
+STAGE_SHARD_LOST = "serving.shard_lost"
+"""Dead-letter stage for windows queued on a shard when it stopped."""
+
 
 class NonFiniteSampleError(RuntimeError):
     """A featurised window carried NaN/Inf and was kept out of the batch."""
@@ -187,6 +190,14 @@ class ShardServer:
         return {
             sid: lane.supervisor.queue_depth for sid, lane in self.lanes.items()
         }
+
+    def pop_queued(self, stream_id: str) -> list:
+        """Dequeue every window waiting in one lane, oldest first (none when unknown)."""
+        lane = self.lanes.get(stream_id)
+        items = []
+        while lane is not None and (item := lane.supervisor.pop_window()) is not None:
+            items.append(item)
+        return items
 
     def shed(self, stream_id: str, n_windows: int) -> int:
         """Drop up to ``n_windows`` oldest queued windows of one lane.

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import M2AIConfig, M2AINet
-from repro.nn import numerical_gradient, softmax_cross_entropy
+from repro.nn import numerical_gradient, parallel, softmax_cross_entropy
 
 SHAPES = {"pseudo": (3, 180), "period": (3, 4)}
 SMALL_CFG = M2AIConfig(
@@ -158,3 +159,28 @@ class TestWarmup:
         logits = net.forward(inputs)
         expected = logits[:, 2:, :].mean(axis=1)
         np.testing.assert_allclose(net.predict_logits(inputs), expected)
+
+
+class TestSpans:
+    @pytest.mark.parametrize(
+        "mode,pool_width,batch,workers",
+        # 4 frames per sample: 16 samples are 2 conv chunks, 8 are one.
+        [("cnn_lstm", 2, 16, 2), ("cnn_lstm", 2, 8, 1), ("cnn_lstm", 1, 16, 1), ("lstm", 2, 16, 1)],
+    )
+    def test_nn_spans_carry_the_conv_walk_workers(
+        self, monkeypatch, mode, pool_width, batch, workers
+    ):
+        monkeypatch.setattr(parallel, "WIDTH", pool_width)
+        net = M2AINet(SHAPES, n_classes=5, cfg=SMALL_CFG, mode=mode)
+        obs.disable()
+        obs.reset()
+        obs.enable()
+        try:
+            logits = net.forward(make_inputs(batch=batch))
+            net.backward(np.ones_like(logits))
+            attrs = {root.name: root.attrs for root in obs.get_collector().drain()}
+        finally:
+            obs.disable()
+            obs.reset()
+        assert attrs["nn.forward"]["workers"] == workers
+        assert attrs["nn.backward"]["workers"] == workers

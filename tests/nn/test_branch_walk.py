@@ -6,14 +6,20 @@ ReLU (-> pool) before the next chunk; the oracle in
 :mod:`tests.nn.branch_oracle` walks each layer over the whole batch.
 These tests compare their bytes (output, input gradient, every
 parameter gradient) across batch sizes on both sides of chunk
-boundaries, both dtypes, both pooling geometries and both
-``input_grad`` settings; check that a short fit is bit-equal under the
-two walks; and pin the pieces the walk is built from: the pad-free
-im2col, the fmax ReLU and the bitwise ReLU gradient.
+boundaries, both dtypes, both pooling geometries, both ``input_grad``
+settings and a chunk list split into 1, 2 and 3 parts
+(:mod:`repro.nn.parallel`); check that two threads can share the pool
+and that a failing part surfaces only after every part has joined;
+check that a short fit is bit-equal under the two walks; and pin the
+pieces the walk is built from: the pad-free im2col, the fmax ReLU and
+the bitwise ReLU gradient.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +27,7 @@ import pytest
 
 from repro.core import M2AIConfig, M2AINet, Trainer
 from repro.core.model import ConvBranch
-from repro.nn import Conv1d, ReLU
+from repro.nn import Conv1d, ReLU, parallel
 from repro.nn.conv import CHUNK
 from repro.nn.layers import relu, relu_grad
 from tests.core.test_trainer_pipeline import TINY_CFG
@@ -49,31 +55,117 @@ def _walk(branch, forward, backward, x, grad, input_grad):
     return y, dx, [p.grad.copy() for p in branch.parameters()]
 
 
+def _bytes(y, dx, grads) -> list[bytes | None]:
+    return [y.tobytes(), None if dx is None else dx.tobytes()] + [g.tobytes() for g in grads]
+
+
+def _walk_bytes(branch, x, grad, input_grad=True) -> list[bytes | None]:
+    return _bytes(*_walk(branch, ConvBranch.forward, ConvBranch.backward, x, grad, input_grad))
+
+
+def _case(batch: int, width: int, dtype: type):
+    branch = _branch(width, dtype)
+    rng = np.random.default_rng(batch)
+    x = rng.normal(size=(batch, 6, width)).astype(dtype)
+    grad = rng.normal(size=(batch, branch.fc.weight.shape[1])).astype(dtype)
+    return branch, x, grad
+
+
 @pytest.mark.parametrize("input_grad", (True, False))
 @pytest.mark.parametrize("dtype", (np.float64, np.float32))
 @pytest.mark.parametrize("width", (180, 360))
 @pytest.mark.parametrize("batch", BATCHES)
-def test_chunk_walk_matches_layer_walk_bit_for_bit(batch, width, dtype, input_grad):
-    branch = _branch(width, dtype)
+def test_chunk_walk_matches_layer_walk_bit_for_bit(
+    monkeypatch, batch, width, dtype, input_grad
+):
+    # One oracle walk, compared with the chunk walk split into 1 (the
+    # serial loop), 2 and 3 parts: the bits must not depend on cores.
+    branch, x, grad = _case(batch, width, dtype)
     assert (branch.pool is not None) == (width == 360)
-    rng = np.random.default_rng(batch)
-    x = rng.normal(size=(batch, 6, width)).astype(dtype)
-    grad = rng.normal(size=(batch, branch.fc.weight.shape[1])).astype(dtype)
-    y, dx, grads = _walk(
-        branch, ConvBranch.forward, ConvBranch.backward, x, grad, input_grad
-    )
     y_ref, dx_ref, grads_ref = _walk(
         branch, oracle_forward, oracle_backward, x, grad, input_grad
     )
-    assert y.dtype == y_ref.dtype == dtype
-    assert y.tobytes() == y_ref.tobytes()
-    if input_grad:
-        assert dx.dtype == dtype
-        assert dx.tobytes() == dx_ref.tobytes()
-    else:
-        assert dx is None and dx_ref is None
-    for p, g, g_ref in zip(branch.parameters(), grads, grads_ref):
-        assert g.tobytes() == g_ref.tobytes(), p.name
+    assert y_ref.dtype == dtype
+    assert dx_ref is None or dx_ref.dtype == dtype
+    expected = _bytes(y_ref, dx_ref, grads_ref)
+    for pool_width in (1, 2, 3):
+        monkeypatch.setattr(parallel, "WIDTH", pool_width)
+        y, dx, grads = _walk(
+            branch, ConvBranch.forward, ConvBranch.backward, x, grad, input_grad
+        )
+        assert y.dtype == dtype
+        assert (dx is None) == (not input_grad)
+        assert dx is None or dx.dtype == dtype
+        got = _bytes(y, dx, grads)
+        names = ["y", "dx"] + [p.name for p in branch.parameters()]
+        for name, a, b in zip(names, got, expected):
+            assert a == b, (pool_width, name)
+
+
+@pytest.mark.parametrize("width", (180, 360))
+def test_two_threads_share_the_pool_bit_for_bit(monkeypatch, width):
+    # Two user threads walk two branches at once through the one pool,
+    # with more threads than cores and a short switch interval.
+    cases = [_case(batch, width, np.float64) for batch in (320, 257)]
+    monkeypatch.setattr(parallel, "WIDTH", 1)
+    serial = [_walk_bytes(*case) for case in cases]
+    monkeypatch.setattr(parallel, "WIDTH", 3)
+    barrier = threading.Barrier(2)
+    results: list[list] = [[], []]
+
+    def run(i: int) -> None:
+        barrier.wait(timeout=60)
+        for _ in range(3):
+            results[i].append(_walk_bytes(*cases[i]))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, serial):
+        assert got == [want] * 3
+
+
+def test_worker_error_surfaces_after_every_part_joins(monkeypatch):
+    monkeypatch.setattr(parallel, "WIDTH", 3)
+    finished: list[int] = []
+
+    def part(lo: int, hi: int) -> None:
+        if lo == raising:
+            raise ValueError(f"part {lo}")
+        time.sleep(0.05)
+        finished.append(lo)
+
+    for raising in (1, 0):  # a pool part, then the caller's own part
+        finished.clear()
+        with pytest.raises(ValueError, match=f"part {raising}"):
+            parallel.run_parts(3, part)
+        assert sorted(finished) == sorted({0, 1, 2} - {raising})
+
+    # Through the branch: a pool thread's chunk raises, the caller sees
+    # it, and the next call runs clean and bit-equal.
+    branch, x, grad = _case(320, 360, np.float64)
+    expected = _walk_bytes(branch, x, grad)
+    real = branch.conv2.forward_chunk
+
+    def flaky(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("chunk failed")
+        return real(*args)
+
+    monkeypatch.setattr(branch.conv2, "forward_chunk", flaky)
+    with pytest.raises(FloatingPointError, match="chunk failed"):
+        branch.forward(x, training=True)
+    monkeypatch.undo()
+    monkeypatch.setattr(parallel, "WIDTH", 3)
+    assert _walk_bytes(branch, x, grad) == expected
 
 
 @pytest.mark.parametrize("width", (40, 300))

@@ -7,7 +7,7 @@ import pytest
 from repro import obs
 from repro.core.streaming import REASON_ADMISSION
 from repro.runtime.supervisor import HEALTH_FAILED, HEALTH_HEALTHY
-from repro.serving import REASON_CAPACITY, FleetServer
+from repro.serving import REASON_CAPACITY, STAGE_SHARD_LOST, FleetServer
 
 from .conftest import make_factory, make_identifier, make_log
 
@@ -258,6 +258,21 @@ class TestCrashRecovery:
         # ...but the stream itself survives and serves new data.
         fleet.submit("a", log)
         assert len(fleet.drain()["a"]) == 4
+
+    def test_lost_windows_are_dead_lettered_and_counted(self):
+        fleet = _a_on_shard_0_b_on_shard_1()
+        log = make_log(n=1500, seed=0, duration_s=10.0)
+        submitted = fleet.submit("a", log).enqueued + fleet.submit("b", log).enqueued
+        fleet.workers[0].stop()
+        decisions = fleet.drain()
+        letters = fleet.workers[0].lanes["a"].supervisor.dead_letters()
+        assert [dl.stage for dl in letters] == [STAGE_SHARD_LOST] * 4
+        health = fleet.health()
+        assert health.lost_windows_total == 4
+        assert health.as_dict()["lost_windows_total"] == 4
+        # decisions + queued + shed + lost == submitted
+        served = sum(len(ds) for ds in decisions.values())
+        assert served + fleet.total_queued() + health.shed_windows_total + 4 == submitted
 
     def test_total_queued_skips_stopped_shards(self):
         fleet = _a_on_shard_0_b_on_shard_1()
