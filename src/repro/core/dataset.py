@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dsp.frames import FeatureFrames
+from repro.ml.model_selection import train_test_split
 from repro.ml.preprocessing import StandardScaler
 
 
@@ -90,20 +91,13 @@ class ActivityDataset:
     ) -> tuple["ActivityDataset", "ActivityDataset"]:
         """Stratified train/test split (the paper's 80/20).
 
-        Deterministic by default (seed 0): pass a seeded generator for
-        a different, still-reproducible shuffle.
+        The index sets are :func:`~repro.ml.model_selection.train_test_split`'s
+        on ``arange(len(self))``; the default generator is seed 0.
         """
-        rng = rng or np.random.default_rng(0)
-        labels = np.asarray(self.labels)
-        test_idx: list[int] = []
-        for cls in sorted(set(self.labels)):
-            members = np.flatnonzero(labels == cls)
-            members = members[rng.permutation(len(members))]
-            n_test = max(1, int(round(test_fraction * len(members))))
-            test_idx.extend(members[:n_test].tolist())
-        mask = np.zeros(len(self.labels), dtype=bool)
-        mask[test_idx] = True
-        return self.subset(np.flatnonzero(~mask)), self.subset(np.flatnonzero(mask))
+        train_idx, test_idx, _, _ = train_test_split(
+            np.arange(len(self)), np.asarray(self.labels), test_fraction, rng
+        )
+        return self.subset(train_idx), self.subset(test_idx)
 
 
 class ChannelScaler:

@@ -24,8 +24,10 @@ _HOMES = {
     ),
     "harness": (
         "baseline_zoo",
+        "carve_val",
         "clear_cache",
         "eval_baselines",
+        "fit_m2ai",
         "get_dataset",
         "get_raw_samples",
         "train_eval_m2ai",
@@ -85,8 +87,10 @@ __all__ = [
     "run_resilience_bench",
     "run_serving_bench",
     "baseline_zoo",
+    "carve_val",
     "clear_cache",
     "eval_baselines",
+    "fit_m2ai",
     "get_dataset",
     "get_raw_samples",
     "run_ext_augmentation",

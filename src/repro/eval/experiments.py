@@ -25,11 +25,9 @@ from repro.data.workloads import (
     quick_generation,
     quick_training,
 )
-from repro.dsp.features import M2AIFeaturizer
 from repro.eval.harness import (
     eval_baselines,
     get_dataset,
-    get_raw_samples,
     train_eval_m2ai,
 )
 from repro.eval.reporting import ExperimentResult, ExperimentRow, declares
@@ -105,9 +103,8 @@ def run_fig09(quick: bool = True, seed: int = 0) -> ExperimentResult:
     similar mediocrity.
     """
     budget = _headline(quick, seed)
-    dataset = get_dataset(budget["corpus"])
-    m2ai, _pipe = train_eval_m2ai(dataset, budget["training"], split_seed=seed)
-    scores = eval_baselines(dataset, split_seed=seed)
+    m2ai, _pipe = train_eval_m2ai(budget["corpus"], budget["training"], split_seed=seed)
+    scores = eval_baselines(get_dataset(budget["corpus"]), split_seed=seed)
     paper = {
         "M2AI": (0.97, False),
         "Linear SVM": (0.70, True),
@@ -124,16 +121,18 @@ def run_fig09(quick: bool = True, seed: int = 0) -> ExperimentResult:
     rows = [ExperimentRow("M2AI", 0.97, m2ai.accuracy)]
     for name, score in scores.items():
         value, approx = paper.get(name, (None, False))
-        rows.append(ExperimentRow(name, value, score, approx=approx))
-    best_baseline = max(scores.values())
+        rows.append(ExperimentRow(name, value, score.test, approx=approx))
+    best = max(scores, key=lambda name: scores[name].val)
+    best_baseline = scores[best].test
     gain = m2ai.accuracy - best_baseline
     return ExperimentResult(
         experiment_id="fig09",
         title="Overall activity identification performance",
         rows=rows,
         notes=(
-            f"M2AI beats the best conventional baseline by "
-            f"{gain * 100:+.0f} points (paper: +27 points over linear SVM). "
+            f"M2AI beats the best conventional baseline ({best}, picked "
+            f"on val) by {gain * 100:+.0f} points on test (paper: +27 "
+            f"points over linear SVM). "
             f"Shape check: M2AI first = {m2ai.accuracy > best_baseline}."
         ),
     )
@@ -143,8 +142,7 @@ def run_fig09(quick: bool = True, seed: int = 0) -> ExperimentResult:
 def run_table1(quick: bool = True, seed: int = 0) -> ExperimentResult:
     """Table I: per-class confusion of the trained M2AI."""
     budget = _headline(quick, seed)
-    dataset = get_dataset(budget["corpus"])
-    result, _pipe = train_eval_m2ai(dataset, budget["training"], split_seed=seed)
+    result, _pipe = train_eval_m2ai(budget["corpus"], budget["training"], split_seed=seed)
     diag = result.confusion.diagonal_accuracy()
     rows = [
         ExperimentRow("mean per-class accuracy", 0.966, float(diag.mean())),
@@ -171,10 +169,10 @@ def run_fig10(quick: bool = True, seed: int = 0) -> ExperimentResult:
     not chance — RSSI and motion dynamics survive phase scrambling.
     """
     budget = _headline(quick, seed)
-    with_cal = get_dataset(budget["corpus"], use_calibration=True)
-    without_cal = get_dataset(budget["corpus"], use_calibration=False)
-    acc_cal, _ = train_eval_m2ai(with_cal, budget["training"], split_seed=seed)
-    acc_raw, _ = train_eval_m2ai(without_cal, budget["training"], split_seed=seed)
+    acc_cal, _ = train_eval_m2ai(budget["corpus"], budget["training"], split_seed=seed)
+    acc_raw, _ = train_eval_m2ai(
+        budget["corpus"], budget["training"], use_calibration=False, split_seed=seed
+    )
     return ExperimentResult(
         experiment_id="fig10",
         title="Impact of phase calibration",
@@ -215,8 +213,7 @@ def run_fig11(quick: bool = True, seed: int = 0) -> ExperimentResult:
     paper = {1: 0.97, 2: 0.90, 3: 0.80}
     rows = []
     for n_persons, cfg in budget["corpus"].items():
-        dataset = get_dataset(cfg)
-        result, _ = train_eval_m2ai(dataset, budget["training"], split_seed=seed)
+        result, _ = train_eval_m2ai(cfg, budget["training"], split_seed=seed)
         rows.append(
             ExperimentRow(
                 f"{n_persons} object(s)", paper[n_persons], result.accuracy, approx=n_persons != 3
@@ -240,8 +237,7 @@ def run_fig12(quick: bool = True, seed: int = 0) -> ExperimentResult:
     rows = []
     paper = {"laboratory": 0.97, "hall": 0.95}
     for env, cfg in budget["corpus"].items():
-        dataset = get_dataset(cfg)
-        result, _ = train_eval_m2ai(dataset, budget["training"], split_seed=seed)
+        result, _ = train_eval_m2ai(cfg, budget["training"], split_seed=seed)
         rows.append(ExperimentRow(env, paper[env], result.accuracy))
     gap = abs(rows[0].measured - rows[1].measured)
     return ExperimentResult(
@@ -261,8 +257,7 @@ def run_fig13(quick: bool = True, seed: int = 0) -> ExperimentResult:
     budget = _fig13(quick, seed)
     rows = []
     for distance, cfg in budget["corpus"].items():
-        dataset = get_dataset(cfg)
-        result, _ = train_eval_m2ai(dataset, budget["training"], split_seed=seed)
+        result, _ = train_eval_m2ai(cfg, budget["training"], split_seed=seed)
         rows.append(ExperimentRow(f"{distance:.0f} m", None, result.accuracy))
     values = [r.measured for r in rows]
     spread = max(values) - min(values)
@@ -286,8 +281,7 @@ def run_fig14(quick: bool = True, seed: int = 0) -> ExperimentResult:
     paper = {2: 0.60, 3: 0.80, 4: 0.97}
     rows = []
     for n_antennas, cfg in budget["corpus"].items():
-        dataset = get_dataset(cfg)
-        result, _ = train_eval_m2ai(dataset, budget["training"], split_seed=seed)
+        result, _ = train_eval_m2ai(cfg, budget["training"], split_seed=seed)
         rows.append(
             ExperimentRow(
                 f"{n_antennas} antennas",
@@ -313,8 +307,7 @@ def run_fig15(quick: bool = True, seed: int = 0) -> ExperimentResult:
     paper = {1: 0.70, 2: 0.85, 3: 0.97}
     rows = []
     for tags, cfg in budget["corpus"].items():
-        dataset = get_dataset(cfg)
-        result, _ = train_eval_m2ai(dataset, budget["training"], split_seed=seed)
+        result, _ = train_eval_m2ai(cfg, budget["training"], split_seed=seed)
         rows.append(
             ExperimentRow(
                 f"{tags} tag(s)/person", paper[tags], result.accuracy, approx=tags != 3
@@ -338,11 +331,6 @@ def run_fig15(quick: bool = True, seed: int = 0) -> ExperimentResult:
 def run_fig16(quick: bool = True, seed: int = 0) -> ExperimentResult:
     """Fig. 16: featuriser ablation over the same recordings."""
     budget = _ablation(quick, seed)
-    cfg = budget["corpus"]
-    raw = get_raw_samples(cfg)
-    from repro.data.generator import SyntheticDatasetGenerator
-
-    generator = SyntheticDatasetGenerator(cfg)
     channel_sets = [
         ("M2AI", "m2ai", 0.97, False),
         ("MUSIC-based", "music", 0.85, True),
@@ -352,8 +340,9 @@ def run_fig16(quick: bool = True, seed: int = 0) -> ExperimentResult:
     ]
     rows = []
     for name, channel_set, paper, approx in channel_sets:
-        dataset = generator.featurize(raw, featurizer=M2AIFeaturizer(channel_set))
-        result, _ = train_eval_m2ai(dataset, budget["training"], split_seed=seed)
+        result, _ = train_eval_m2ai(
+            budget["corpus"], budget["training"], channel_set=channel_set, split_seed=seed
+        )
         rows.append(ExperimentRow(name, paper, result.accuracy, approx=approx))
     best = max(rows, key=lambda r: r.measured)
     return ExperimentResult(
@@ -376,13 +365,12 @@ def run_fig17(quick: bool = True, seed: int = 0) -> ExperimentResult:
     generalises better.
     """
     budget = _headline(quick, seed)
-    dataset = get_dataset(budget["corpus"])
     rows = []
     paper = {"cnn_lstm": (0.97, False), "cnn": (0.67, True), "lstm": (0.72, True)}
     label = {"cnn_lstm": "M2AI (CNN+LSTM)", "cnn": "CNN only", "lstm": "LSTM only"}
     for mode in ("cnn_lstm", "cnn", "lstm"):
         result, _ = train_eval_m2ai(
-            dataset, budget["training"], mode=mode, split_seed=seed
+            budget["corpus"], budget["training"], mode=mode, split_seed=seed
         )
         value, approx = paper[mode]
         rows.append(ExperimentRow(label[mode], value, result.accuracy, approx=approx))

@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.config import M2AIConfig
 from repro.data.generator import GenerationConfig
 from repro.data.workloads import full_training, quick_training
-from repro.eval.harness import get_dataset, train_eval_m2ai
+from repro.eval.harness import train_eval_m2ai
 from repro.eval.reporting import ExperimentResult, ExperimentRow, declares
 from repro.eval.resilience import run_ext_resilience
 from repro.eval.serving import run_ext_serving
@@ -93,14 +93,9 @@ def run_ext_augmentation(quick: bool = True, seed: int = 0) -> ExperimentResult:
     from dataclasses import replace
 
     budget = _augmentation(quick, seed)
-    dataset = get_dataset(budget["corpus"])
-    base = budget["training"]
-    with_aug, _ = train_eval_m2ai(
-        dataset, replace(base, augment=True), split_seed=seed
-    )
-    without_aug, _ = train_eval_m2ai(
-        dataset, replace(base, augment=False), split_seed=seed
-    )
+    corpus, base = budget["corpus"], budget["training"]
+    with_aug, _ = train_eval_m2ai(corpus, replace(base, augment=True), split_seed=seed)
+    without_aug, _ = train_eval_m2ai(corpus, replace(base, augment=False), split_seed=seed)
     return ExperimentResult(
         experiment_id="ext-augment",
         title="Ablation: training-time augmentation",

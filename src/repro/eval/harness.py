@@ -5,12 +5,17 @@ so raw recordings are memoised per :class:`GenerationConfig` within the
 process: Fig. 9, Table I, Fig. 10, Fig. 16 and Fig. 17 all reuse one
 simulated corpus, exactly as the paper evaluates many methods on one
 collected dataset.
+
+Every model is chosen one way: :func:`split_test` holds out the
+paper's test 20%, :func:`carve_val` takes a val part out of the rest,
+and :func:`fit_m2ai` and :func:`eval_baselines` train on what is left.
+The val part picks; the test part only scores.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +35,7 @@ from repro.ml import (
     QuadraticDiscriminantAnalysis,
     RandomForestClassifier,
     RbfSVM,
+    StandardScaler,
 )
 
 _RAW_CACHE: dict[GenerationConfig, list[RawSample]] = {}
@@ -95,24 +101,17 @@ def get_raw_samples(config: GenerationConfig) -> list[RawSample]:
 
 
 _DATASET_MEMO: dict[tuple, ActivityDataset] = {}
+_TRAIN_MEMO: dict[tuple, tuple[EvaluationResult, M2AIPipeline]] = {}
 
 
 def get_dataset(
-    config: GenerationConfig,
-    featurizer: M2AIFeaturizer | None = None,
-    use_calibration: bool = True,
+    config: GenerationConfig, channel_set: str = "m2ai", use_calibration: bool = True
 ) -> ActivityDataset:
-    """Featurised dataset over the memoised raw recordings.
-
-    Memoised per (config, featuriser, calibration) so repeat callers —
-    and the training memo keyed on dataset identity — see one object.
-    """
-    feat_key = featurizer.name if featurizer is not None else "m2ai"
-    key = (config, feat_key, use_calibration)
+    """The recordings of ``config`` featurised to one channel set, memoised per argument."""
+    key = (config, channel_set, use_calibration)
     if key not in _DATASET_MEMO:
-        raw = get_raw_samples(config)
         _DATASET_MEMO[key] = SyntheticDatasetGenerator(config).featurize(
-            raw, featurizer=featurizer, use_calibration=use_calibration
+            get_raw_samples(config), M2AIFeaturizer(channel_set), use_calibration
         )
     return _DATASET_MEMO[key]
 
@@ -122,79 +121,55 @@ def clear_cache() -> None:
     _RAW_CACHE.clear()
     _DATASET_MEMO.clear()
     _TRAIN_MEMO.clear()
-    _DATASET_HANDLES.clear()
 
 
-_TRAIN_MEMO: dict[tuple, tuple[EvaluationResult, M2AIPipeline]] = {}
+def split_test(
+    dataset: ActivityDataset, split_seed: int = 0
+) -> tuple[ActivityDataset, ActivityDataset]:
+    """The paper's stratified 80/20 ``(train, test)``; test only scores."""
+    return dataset.split(0.2, np.random.default_rng(split_seed))
 
 
-class _DatasetHandle:
-    """Memo-key component whose lifetime tracks one dataset object.
-
-    The training memo used to key on ``id(dataset)``; after a dataset
-    was garbage-collected CPython could hand the same id to a *new*
-    dataset, and a later caller silently received a model trained on
-    different data.  A handle is allocated once per live dataset (via a
-    weak-key table) and its memo entries are evicted the moment the
-    dataset dies, so a recycled id can never alias a stale entry.
-    """
-
-    __slots__ = ("__weakref__",)
+def carve_val(
+    train: ActivityDataset, split_seed: int = 0
+) -> tuple[ActivityDataset, ActivityDataset]:
+    """Stratified ``(fit, val)`` parts of train; val (20%) picks, fit trains."""
+    return train.split(0.2, np.random.default_rng(split_seed + 1))
 
 
-# id -> handle for *live* datasets only.  ActivityDataset is not
-# hashable, so a WeakKeyDictionary cannot hold it; instead the
-# finalizer below removes the id entry when the dataset dies — and
-# CPython runs finalizers before the memory (hence the id) can be
-# reused, so this table never serves a stale handle.
-_DATASET_HANDLES: dict[int, _DatasetHandle] = {}
-
-
-def _evict_train_memo(dataset_id: int, handle: _DatasetHandle) -> None:
-    """Drop a dead dataset's handle and every memo entry keyed on it."""
-    _DATASET_HANDLES.pop(dataset_id, None)
-    for key in [k for k in _TRAIN_MEMO if k[0] is handle]:
-        del _TRAIN_MEMO[key]
-
-
-def _train_memo_key(
-    dataset: ActivityDataset,
-    training: M2AIConfig,
-    mode: str,
-    split_seed: int,
-    test_fraction: float,
-) -> tuple:
-    """Identity-safe memo key for :func:`train_eval_m2ai`."""
-    handle = _DATASET_HANDLES.get(id(dataset))
-    if handle is None:
-        handle = _DatasetHandle()
-        _DATASET_HANDLES[id(dataset)] = handle
-        weakref.finalize(dataset, _evict_train_memo, id(dataset), handle)
-    return (handle, training, mode, split_seed, test_fraction)
-
-
-def train_eval_m2ai(
-    dataset: ActivityDataset,
+def fit_m2ai(
+    train: ActivityDataset,
     training: M2AIConfig,
     mode: str = "cnn_lstm",
     split_seed: int = 0,
-    test_fraction: float = 0.2,
-) -> tuple[EvaluationResult, M2AIPipeline]:
-    """80/20 split, train the network, evaluate on the held-out 20%.
+) -> M2AIPipeline:
+    """Fit on train's fit part, restoring the epoch best on its val part."""
+    fit, val = carve_val(train, split_seed)
+    return M2AIPipeline(training, mode=mode).fit(fit, val=val)
 
-    Memoised per process on (dataset identity, training config, mode,
-    split) — Fig. 9 and Table I report the same trained model, so the
-    second driver should not pay for a second training run.
+
+def train_eval_m2ai(
+    corpus: GenerationConfig,
+    training: M2AIConfig,
+    *,
+    channel_set: str = "m2ai",
+    use_calibration: bool = True,
+    mode: str = "cnn_lstm",
+    split_seed: int = 0,
+) -> tuple[EvaluationResult, M2AIPipeline]:
+    """Split off the test 20%, :func:`fit_m2ai` on the rest, score on test.
+
+    Memoised per process on the arguments, all of them values: Fig. 9
+    and Table I report the same trained model, so the second driver
+    does not pay for a second fit.
     """
-    key = _train_memo_key(dataset, training, mode, split_seed, test_fraction)
-    if key in _TRAIN_MEMO:
-        return _TRAIN_MEMO[key]
-    train, test = dataset.split(test_fraction, np.random.default_rng(split_seed))
-    pipeline = M2AIPipeline(training, mode=mode)
-    pipeline.fit(train, val=test)
-    result = (pipeline.evaluate(test), pipeline)
-    _TRAIN_MEMO[key] = result
-    return result
+    key = (corpus, training, channel_set, use_calibration, mode, split_seed)
+    if key not in _TRAIN_MEMO:
+        dataset = get_dataset(corpus, channel_set, use_calibration)
+        train, test = split_test(dataset, split_seed)
+        pipeline = fit_m2ai(train, training, mode, split_seed)
+        _TRAIN_MEMO[key] = (pipeline.evaluate(test), pipeline)
+    return _TRAIN_MEMO[key]
 
 
 def runtime_training(quick: bool, seed: int) -> M2AIConfig:
@@ -292,38 +267,48 @@ def baseline_zoo(rng: np.random.Generator) -> dict[str, object]:
     return zoo
 
 
+class BaselineScore(NamedTuple):
+    """One baseline's accuracy on the val part and on the test part."""
+
+    val: float
+    test: float
+
+
 def eval_baselines(
     dataset: ActivityDataset,
     split_seed: int = 0,
     include_hmm: bool = True,
-    test_fraction: float = 0.2,
-) -> dict[str, float]:
-    """Accuracy of every classical baseline on an 80/20 split."""
-    train, test = dataset.split(test_fraction, np.random.default_rng(split_seed))
-    x_train, y_train, x_test, y_test = baseline_arrays(train, test)
-    rng = np.random.default_rng(split_seed + 99)
-    scores: dict[str, float] = {}
-    for name, model in baseline_zoo(rng).items():
-        model.fit(x_train, y_train)
-        scores[name] = model.score(x_test, y_test)
-    if include_hmm:
-        from repro.ml.preprocessing import StandardScaler
+) -> dict[str, BaselineScore]:
+    """Every classical baseline fitted on the part :func:`fit_m2ai` fits on.
 
-        seq_train = train.to_sequences()
-        seq_test = test.to_sequences()
-        scaler = StandardScaler().fit(seq_train.reshape(-1, seq_train.shape[-1]))
-        seq_train = scaler.transform(
-            seq_train.reshape(-1, seq_train.shape[-1])
-        ).reshape(seq_train.shape)
-        seq_test = scaler.transform(seq_test.reshape(-1, seq_test.shape[-1])).reshape(
-            seq_test.shape
-        )
+    The split is :func:`split_test` then :func:`carve_val`, so a caller
+    picks the best baseline by ``val`` and reports its ``test``.
+    """
+    train, test = split_test(dataset, split_seed)
+    fit, val = carve_val(train, split_seed)
+    x_fit, y_fit, x_val, y_val = baseline_arrays(fit, val)
+    _, _, x_test, y_test = baseline_arrays(fit, test)
+    rng = np.random.default_rng(split_seed + 99)
+    scores: dict[str, BaselineScore] = {}
+    for name, model in baseline_zoo(rng).items():
+        model.fit(x_fit, y_fit)
+        scores[name] = BaselineScore(model.score(x_val, y_val), model.score(x_test, y_test))
+    if include_hmm:
+        seq_fit = fit.to_sequences()
+        scaler = StandardScaler().fit(seq_fit.reshape(-1, seq_fit.shape[-1]))
+
+        def scaled(part: ActivityDataset) -> np.ndarray:
+            seq = part.to_sequences()
+            return scaler.transform(seq.reshape(-1, seq.shape[-1])).reshape(seq.shape)
+
         hmm = HMMActivityClassifier(
             n_states=4,
             n_components=8,
             n_iter=8,
             rng=np.random.default_rng(rng.integers(2**31)),
         )
-        hmm.fit(seq_train, y_train)
-        scores["HMM"] = hmm.score(seq_test, y_test)
+        hmm.fit(scaled(fit), y_fit)
+        scores["HMM"] = BaselineScore(
+            hmm.score(scaled(val), y_val), hmm.score(scaled(test), y_test)
+        )
     return scores

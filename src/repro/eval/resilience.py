@@ -355,12 +355,11 @@ def run_resilience_bench(quick: bool = True, seed: int = 0) -> dict:
             written from such a run.
     """
     from repro import obs
-    from repro.core.pipeline import M2AIPipeline
-    from repro.eval.harness import runtime_workload
+    from repro.eval.harness import fit_m2ai, runtime_workload
 
     workload = runtime_workload(quick, seed)
     t_setup = time.perf_counter()
-    pipeline = M2AIPipeline(workload.training).fit(workload.train)
+    pipeline = fit_m2ai(workload.train, workload.training, split_seed=seed)
     setup_s = time.perf_counter() - t_setup
 
     identifier = StreamingIdentifier(

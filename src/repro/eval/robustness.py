@@ -265,11 +265,10 @@ def run_ext_robustness(quick: bool = True, seed: int = 0) -> ExperimentResult:
     :data:`DEFAULT_SEVERITIES` over the held-out recordings through the
     streaming serving path.
     """
-    from repro.core.pipeline import M2AIPipeline
-    from repro.eval.harness import runtime_workload
+    from repro.eval.harness import fit_m2ai, runtime_workload
 
     workload = runtime_workload(quick, seed)
-    pipeline = M2AIPipeline(workload.training).fit(workload.train)
+    pipeline = fit_m2ai(workload.train, workload.training, split_seed=seed)
     identifier = StreamingIdentifier(
         pipeline, window_s=workload.window_s, min_reads=32
     )

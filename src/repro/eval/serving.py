@@ -337,8 +337,7 @@ def run_serving_bench(quick: bool = True, seed: int = 0) -> dict:
     from dataclasses import replace
 
     from repro import obs
-    from repro.core.pipeline import M2AIPipeline
-    from repro.eval.harness import runtime_workload
+    from repro.eval.harness import fit_m2ai, runtime_workload
 
     workload = runtime_workload(quick, seed)
     t_setup = time.perf_counter()
@@ -354,7 +353,7 @@ def run_serving_bench(quick: bool = True, seed: int = 0) -> dict:
         lstm_hidden=16,
         lstm_layers=1,
     )
-    pipeline = M2AIPipeline(model_cfg).fit(workload.train)
+    pipeline = fit_m2ai(workload.train, model_cfg, split_seed=seed)
     setup_s = time.perf_counter() - t_setup
 
     serve_raws = workload.held_out

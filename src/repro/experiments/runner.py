@@ -16,6 +16,10 @@ memo caches) and every driver is seeded from its spec alone, so the
 same specs produce byte-identical record content regardless of
 ``workers`` — the determinism tests compare
 :meth:`ResultRecord.content_digest` across worker counts.
+
+CPU budget: each worker starts pinned to its own disjoint slice of the
+parent's affinity mask, so the workers never share a core (unpinned,
+each sized OpenBLAS and the conv pool to the whole host).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import dataclasses
 import importlib
 import inspect
 import multiprocessing
+import os
 import sys
 import time
 import traceback
@@ -236,8 +241,9 @@ def run_batch(
         specs: cells to run (duplicates collapse to one execution).
         store: durable results store (default:
             :func:`~repro.experiments.store.default_store_root`).
-        workers: max concurrent worker processes; ``<= 1`` runs inline
-            in this process (no spawning).
+        workers: max concurrent worker processes, capped at the cores
+            this process may use; ``<= 1`` runs inline in this process
+            (no spawning).
         force: rerun and overwrite cells already in the store.
         registry: driver registry for the **inline** path; parallel
             workers resolve ``registry_factory`` themselves (a spawned
@@ -302,6 +308,27 @@ def run_batch(
     return ordered
 
 
+def _core_slices(cores: "list[int]", workers: int) -> "list[list[int]]":
+    """``min(workers, len(cores))`` disjoint contiguous slices of ``cores``."""
+    n = max(1, min(workers, len(cores)))
+    return [cores[i * len(cores) // n : (i + 1) * len(cores) // n] for i in range(n)]
+
+
+def _start_pinned(process, cores: "list[int] | None", parent: "list[int] | None") -> None:
+    """Start ``process`` with this thread's affinity mask set to ``cores``.
+
+    The child inherits the mask, and OpenBLAS and
+    :data:`repro.nn.parallel.WIDTH` size their threads from it at import.
+    """
+    if cores is not None:
+        os.sched_setaffinity(0, cores)
+    try:
+        process.start()
+    finally:
+        if cores is not None:
+            os.sched_setaffinity(0, parent)
+
+
 def _run_parallel(
     todo: list[ExperimentSpec],
     store: ResultsStore,
@@ -313,25 +340,30 @@ def _run_parallel(
 ) -> None:
     """Drive the spawned workers; fills ``done``/``failures`` in place."""
     ctx = multiprocessing.get_context("spawn")
+    pinned = hasattr(os, "sched_setaffinity")
+    parent = sorted(os.sched_getaffinity(0)) if pinned else None
+    slots = _core_slices(parent, workers) if pinned else [None] * max(workers, 1)
+    free = list(range(len(slots)))
     pending = list(todo)
     active: dict[str, tuple] = {}
     while pending or active:
-        while pending and len(active) < max(workers, 1):
-            spec = pending.pop(0)
+        while pending and free:
+            spec, slot = pending.pop(0), free.pop(0)
             process = ctx.Process(
                 target=_worker_entry,
                 args=(spec.payload(), str(store.root), registry_factory),
                 daemon=False,
             )
-            process.start()
-            active[spec.key] = (spec, process)
+            _start_pinned(process, slots[slot], parent)
+            active[spec.key] = (spec, process, slot)
             notify("start", spec, f"pid {process.pid}")
         for key in list(active):
-            spec, process = active[key]
+            spec, process, slot = active[key]
             process.join(_POLL_S)
             if process.is_alive():
                 continue
             del active[key]
+            free.append(slot)
             record = store.get(key) if process.exitcode == 0 else None
             if process.exitcode == 0 and record is not None:
                 done[key] = record

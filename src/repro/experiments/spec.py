@@ -36,8 +36,9 @@ __all__ = [
     "make_spec",
 ]
 
-SPEC_SCHEMA = 1
-"""Version folded into every spec hash; bump on incompatible changes."""
+SPEC_SCHEMA = 2
+"""Version folded into every spec hash; bump on incompatible changes
+(2: models are picked on a val part carved from train, not on test)."""
 
 _MODES = ("quick", "full")
 

@@ -56,21 +56,20 @@ class TestBaselineZoo:
 
     def test_eval_baselines_scores(self):
         ds = get_dataset(TINY)
-        scores = eval_baselines(ds, split_seed=0, include_hmm=True, test_fraction=0.34)
+        scores = eval_baselines(ds, split_seed=0, include_hmm=True)
         assert "HMM" in scores
         assert len(scores) == 10
-        for value in scores.values():
-            assert 0.0 <= value <= 1.0
+        for score in scores.values():
+            assert 0.0 <= score.val <= 1.0 and 0.0 <= score.test <= 1.0
 
 
 class TestTrainEval:
     def test_train_eval_m2ai_runs(self):
-        ds = get_dataset(TINY)
         cfg = M2AIConfig(
             conv_channels=(3, 4), branch_dim=6, merge_dim=8, lstm_hidden=6,
             lstm_layers=1, epochs=4, batch_size=4, warmup_frames=1,
         )
-        result, pipeline = train_eval_m2ai(ds, cfg, split_seed=0, test_fraction=0.34)
+        result, pipeline = train_eval_m2ai(TINY, cfg, split_seed=0)
         assert 0.0 <= result.accuracy <= 1.0
         assert pipeline.history is not None
         assert len(pipeline.history.loss) == 4

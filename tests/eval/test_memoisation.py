@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import replace
+
 import pytest
 
 from repro.core import M2AIConfig
@@ -37,10 +38,8 @@ class TestDatasetMemo:
         assert a is b
 
     def test_featurizer_key_separates(self):
-        from repro.dsp.features import M2AIFeaturizer
-
         a = get_dataset(TINY)
-        b = get_dataset(TINY, featurizer=M2AIFeaturizer("rssi"))
+        b = get_dataset(TINY, channel_set="rssi")
         assert a is not b
         assert set(b.channel_shapes) == {"rssi"}
 
@@ -52,71 +51,44 @@ class TestDatasetMemo:
 
 class TestTrainMemo:
     def test_repeat_call_returns_same_model(self):
-        ds = get_dataset(TINY)
-        result_a, pipe_a = train_eval_m2ai(ds, TRAIN, split_seed=0, test_fraction=0.34)
-        result_b, pipe_b = train_eval_m2ai(ds, TRAIN, split_seed=0, test_fraction=0.34)
+        result_a, pipe_a = train_eval_m2ai(TINY, TRAIN, split_seed=0)
+        result_b, pipe_b = train_eval_m2ai(TINY, TRAIN, split_seed=0)
         assert pipe_a is pipe_b
         assert result_a.accuracy == result_b.accuracy
 
     def test_different_mode_not_shared(self):
-        ds = get_dataset(TINY)
-        _r1, pipe_a = train_eval_m2ai(ds, TRAIN, mode="cnn_lstm", split_seed=0, test_fraction=0.34)
-        _r2, pipe_b = train_eval_m2ai(ds, TRAIN, mode="cnn", split_seed=0, test_fraction=0.34)
+        _r1, pipe_a = train_eval_m2ai(TINY, TRAIN, mode="cnn_lstm", split_seed=0)
+        _r2, pipe_b = train_eval_m2ai(TINY, TRAIN, mode="cnn", split_seed=0)
         assert pipe_a is not pipe_b
 
-    def test_dead_dataset_entries_are_evicted(self):
-        """Regression: the memo was keyed on id(dataset).
+    def test_equal_configs_built_separately_share_one_fit(self):
+        """The memo keys on content, not on which object was passed."""
+        corpus = replace(TINY, seed=TINY.seed)
+        training = replace(TRAIN, epochs=TRAIN.epochs)
+        assert corpus is not TINY and training is not TRAIN
+        _r1, pipe_a = train_eval_m2ai(TINY, TRAIN, split_seed=0)
+        _r2, pipe_b = train_eval_m2ai(corpus, training, split_seed=0)
+        assert pipe_a is pipe_b
 
-        After a dataset died, CPython could hand its id to a new
-        dataset and a later caller got a model trained on *different*
-        data.  The handle-keyed memo evicts entries when their dataset
-        is collected, and a recycled id can never alias a stale key.
-        """
-        import gc
-
-        from repro.eval import harness
-
-        base = get_dataset(TINY)
-        indices = np.arange(len(base))
-
-        d1 = base.subset(indices)
-        key1 = harness._train_memo_key(d1, TRAIN, "cnn_lstm", 0, 0.34)
-        harness._TRAIN_MEMO[key1] = ("stale-sentinel", None)
-        old_id = id(d1)
-        del d1
-        gc.collect()
-        # Eviction: the dead dataset's entry is gone, not waiting to
-        # be served to whoever inherits its id.
-        assert key1 not in harness._TRAIN_MEMO
-
-        # Force the id-reuse scenario: allocate identical datasets
-        # until CPython hands back the dead object's address (the
-        # freelist usually does this on the first try).
-        d2 = base.subset(indices)
-        for _ in range(64):
-            if id(d2) == old_id:
-                break
-            del d2
-            gc.collect()
-            d2 = base.subset(indices)
-        key2 = harness._train_memo_key(d2, TRAIN, "cnn_lstm", 0, 0.34)
-        # Whether or not the id was recycled, the new dataset must get
-        # a fresh key; with the old id()-keying this assertion fails
-        # whenever the loop above achieved reuse.
-        assert key2 != key1
-
-    def test_same_dataset_key_is_stable(self):
-        from repro.eval import harness
-
-        ds = get_dataset(TINY)
-        key_a = harness._train_memo_key(ds, TRAIN, "cnn_lstm", 0, 0.34)
-        key_b = harness._train_memo_key(ds, TRAIN, "cnn_lstm", 0, 0.34)
-        assert key_a == key_b
+    @pytest.mark.parametrize(
+        "change",
+        [
+            pytest.param({"corpus": replace(TINY, seed=TINY.seed + 1)}, id="corpus"),
+            pytest.param({"channel_set": "rssi"}, id="channel_set"),
+            pytest.param({"use_calibration": False}, id="use_calibration"),
+            pytest.param({"training": replace(TRAIN, seed=TRAIN.seed + 1)}, id="training"),
+            pytest.param({"mode": "cnn"}, id="mode"),
+            pytest.param({"split_seed": 1}, id="split_seed"),
+        ],
+    )
+    def test_changing_one_key_field_gives_a_new_fit(self, change):
+        _r, base = train_eval_m2ai(TINY, TRAIN, split_seed=0)
+        args = {"corpus": TINY, "training": TRAIN, "split_seed": 0, **change}
+        _r, changed = train_eval_m2ai(args.pop("corpus"), args.pop("training"), **args)
+        assert changed is not base
 
     def test_clear_cache_resets(self):
-        ds = get_dataset(TINY)
-        _r, pipe_a = train_eval_m2ai(ds, TRAIN, split_seed=0, test_fraction=0.34)
+        _r, pipe_a = train_eval_m2ai(TINY, TRAIN, split_seed=0)
         clear_cache()
-        ds2 = get_dataset(TINY)
-        _r2, pipe_b = train_eval_m2ai(ds2, TRAIN, split_seed=0, test_fraction=0.34)
+        _r2, pipe_b = train_eval_m2ai(TINY, TRAIN, split_seed=0)
         assert pipe_a is not pipe_b

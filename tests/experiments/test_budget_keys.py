@@ -69,11 +69,10 @@ def test_drivers_run_with_what_they_declare(registry, monkeypatch):
     """The budget a driver declares is the one it trains with."""
     seen = []
 
-    def fake_train(dataset, training, mode="cnn_lstm", split_seed=0, test_fraction=0.2):
+    def fake_train(corpus, training, **kwargs):
         seen.append(training)
         raise RuntimeError("stop after the first fit")
 
-    monkeypatch.setattr(paper_drivers, "get_dataset", lambda cfg, **kwargs: cfg)
     monkeypatch.setattr(paper_drivers, "train_eval_m2ai", fake_train)
     with pytest.raises(RuntimeError, match="first fit"):
         registry["fig11"](quick=True, seed=3)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
 from repro.experiments import (
@@ -13,6 +16,7 @@ from repro.experiments import (
     run_one,
     validate_ids,
 )
+from repro.experiments.runner import _core_slices
 from tests.experiments import toyreg
 
 FACTORY = "tests.experiments.toyreg:factory"
@@ -100,6 +104,33 @@ class TestInlineBatch:
         run_batch([spec], store, registry={"toy": spy}, force=True)
         assert calls == [0]
 
+    def test_record_under_spec_schema_1_is_rerun(self, tmp_path, monkeypatch):
+        """Schema 1 picked epochs and the best baseline on the test
+        split; its records read as stale and rerun, never served."""
+        from repro.experiments import spec as spec_module
+
+        store = ResultsStore(tmp_path)
+        spec = make_spec("toy")
+        with monkeypatch.context() as old_schema:
+            old_schema.setattr(spec_module, "SPEC_SCHEMA", 1)
+            run_batch([spec], store, registry=toy_registry())
+            old_key = spec.key
+        calls, events = [], []
+
+        def spy(quick=True, seed=0):
+            calls.append(seed)
+            return toyreg.run_toy(quick=quick, seed=seed)
+
+        run_batch(
+            [spec],
+            store,
+            registry={"toy": spy},
+            on_event=lambda kind, spec, detail: events.append(kind),
+        )
+        assert calls == [0] and "skip" not in events
+        assert old_key != spec.key
+        assert store.keys() == sorted([old_key, spec.key])
+
     def test_duplicate_specs_run_once(self, tmp_path):
         calls = []
 
@@ -184,3 +215,49 @@ class TestParallelBatch:
             )
         assert list(err.value.failures) == [specs[1].key]
         assert "worker exited 1" in err.value.failures[specs[1].key]
+
+
+class TestWorkerPinning:
+    """Each spawned worker owns a disjoint slice of the parent's cores."""
+
+    @pytest.mark.parametrize(
+        "n_cores, workers", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 2), (8, 3)]
+    )
+    def test_slices_partition_the_mask_capped_at_the_core_count(self, n_cores, workers):
+        cores = list(range(4, 4 + n_cores))
+        slices = _core_slices(cores, workers)
+        assert len(slices) == min(workers, n_cores)
+        assert all(slices)
+        assert [c for part in slices for c in part] == cores
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity API")
+    def test_spawned_workers_never_share_a_core(self, tmp_path):
+        parent = sorted(os.sched_getaffinity(0))
+        specs = [make_spec("affinity", seed=s) for s in range(min(2, len(parent)))]
+        records = run_batch(specs, ResultsStore(tmp_path), workers=2, registry_factory=FACTORY)
+        masks = [json.loads(r.notes) for r in records]
+        assert [r.measured_by_name()["width"] for r in records] == [len(m) for m in masks]
+        cores = [c for mask in masks for c in mask]
+        assert len(cores) == len(set(cores)) and set(cores) <= set(parent)
+        assert sorted(os.sched_getaffinity(0)) == parent
+
+    def test_pinned_domain_shift_matches_an_inline_run(self, tmp_path, monkeypatch):
+        from repro.experiments import domain_shift as ds
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "corpora"))
+        monkeypatch.setattr(ds, "_budget", toyreg.tiny_budget)
+        real_run_batch = ds.run_batch
+
+        def tiny_run_batch(*args, **kwargs):
+            factory = "tests.experiments.toyreg:tiny_shift_factory"
+            return real_run_batch(*args, registry_factory=factory, **kwargs)
+
+        monkeypatch.setattr(ds, "run_batch", tiny_run_batch)
+        docs = [
+            ds.run_domain_shift_bench(
+                quick=True, seeds=(0,), workers=workers, store=ResultsStore(tmp_path / str(workers))
+            )
+            for workers in (1, 2)
+        ]
+        assert docs[0]["directions"] == docs[1]["directions"]
+        assert [c["rows"] for c in docs[0]["cells"]] == [c["rows"] for c in docs[1]["cells"]]

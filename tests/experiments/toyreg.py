@@ -8,6 +8,7 @@ start-up free of the heavy ``repro.eval`` import chain.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 
@@ -66,9 +67,57 @@ def run_die(quick: bool = True, seed: int = 0) -> ToyResult:
     return run_toy(quick=quick, seed=seed)
 
 
+def run_affinity(quick: bool = True, seed: int = 0) -> ToyResult:
+    """Report the cores this process may use and the conv pool's width."""
+    from repro.nn import parallel
+
+    return ToyResult(
+        experiment_id="affinity",
+        title="worker affinity",
+        rows=[ToyRow("width", None, float(parallel.WIDTH))],
+        notes=json.dumps(sorted(os.sched_getaffinity(0))),
+    )
+
+
 def factory() -> dict:
     """Registry factory resolved by the spawned workers."""
-    return {"toy": run_toy, "crash": run_crash, "die": run_die}
+    return {"toy": run_toy, "crash": run_crash, "die": run_die, "affinity": run_affinity}
+
+
+def tiny_budget(quick=True, seed=0, source="laboratory", target="hall", k_shot=None):
+    """A seconds-long domain-shift cell: two classes, a two-epoch fit."""
+    from repro.core.config import M2AIConfig
+    from repro.data.generator import GenerationConfig
+
+    def corpus(environment):
+        return GenerationConfig(
+            scenario_labels=("A01", "A03"),
+            samples_per_class=5,
+            duration_s=3.2,
+            calibration_s=20.0,
+            environment=environment,
+            seed=seed,
+        )
+
+    training = M2AIConfig(
+        conv_channels=(3, 4), branch_dim=6, merge_dim=8, lstm_hidden=6,
+        lstm_layers=1, epochs=2, batch_size=4, warmup_frames=1, seed=seed,
+    )
+    return {
+        "source": corpus(source),
+        "target": corpus(target),
+        "training": training,
+        "k_shot": 1,
+        "fine_tune_epochs": 1,
+    }
+
+
+def tiny_shift_factory() -> dict:
+    """The domain-shift driver on :func:`tiny_budget`, in any process."""
+    from repro.experiments import domain_shift
+
+    domain_shift._budget = tiny_budget
+    return {domain_shift.EXPERIMENT_ID: domain_shift.run_domain_shift}
 
 
 def good_factory() -> dict:
