@@ -16,6 +16,8 @@ import numpy as np
 
 from repro.dsp.frames import FeatureFrames, build_spectrum_frames_many
 from repro.hardware.llrp import ReadLog
+from repro.nn import parallel
+from repro.runtime.breaker import active_guards
 
 CHANNEL_SETS: dict[str, tuple[str, ...]] = {
     "m2ai": ("pseudo", "period"),
@@ -63,10 +65,27 @@ class M2AIFeaturizer:
     def transform_many(
         self, windows: list[tuple[ReadLog, np.ndarray, int | None]]
     ) -> list[FeatureFrames]:
-        """Featurise many windows through one pooled DSP batch.
+        """Featurise many windows through pooled DSP batches, one per core.
 
-        Output per window is identical to :meth:`transform`; see
-        :func:`~repro.dsp.frames.build_spectrum_frames_many` for how
-        the pooling works and why it pays on a fleet shard.
+        The window list is cut into contiguous parts
+        (:func:`repro.nn.parallel.run_parts`): the calling thread
+        featurises the first part and the process-wide pool the rest,
+        each part through one
+        :func:`~repro.dsp.frames.build_spectrum_frames_many` call that
+        writes its own slice of the result.  Every kernel of the
+        pooled batch works per row, so a window's frames do not depend
+        on which windows share its part: output per window is
+        identical to :meth:`transform` for any core count.  One
+        window, one core, or a caller under stage guards (which are
+        installed per thread) takes a single call on the caller.
         """
-        return build_spectrum_frames_many(windows, channels=CHANNEL_SETS[self.name])
+        channels = CHANNEL_SETS[self.name]
+        if active_guards() is not None:
+            return build_spectrum_frames_many(windows, channels=channels)
+        out: list[FeatureFrames] = [None] * len(windows)  # type: ignore[list-item]
+
+        def part(lo: int, hi: int) -> None:
+            out[lo:hi] = build_spectrum_frames_many(windows[lo:hi], channels=channels)
+
+        parallel.run_parts(len(windows), part)
+        return out

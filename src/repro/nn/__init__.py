@@ -1,7 +1,6 @@
 """From-scratch numpy deep-learning framework (CNN + LSTM + training)."""
 
 from repro.nn.conv import Conv1d, GlobalAveragePool1d, MaxPool1d
-from repro.nn.gradcheck import check_module_gradients, numerical_gradient
 from repro.nn.init import glorot_uniform, he_uniform, orthogonal
 from repro.nn.layers import Dense, Dropout, Flatten, ReLU, Tanh
 from repro.nn.losses import log_softmax, mse_loss, softmax, softmax_cross_entropy
@@ -37,7 +36,6 @@ __all__ = [
     "Sequential",
     "Tanh",
     "cast_once",
-    "check_module_gradients",
     "clip_grad_norm",
     "glorot_uniform",
     "he_uniform",
@@ -45,7 +43,6 @@ __all__ = [
     "inference_mode",
     "log_softmax",
     "mse_loss",
-    "numerical_gradient",
     "orthogonal",
     "softmax",
     "softmax_cross_entropy",

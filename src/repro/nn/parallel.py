@@ -1,12 +1,14 @@
-"""One process-wide thread pool for the conv stack's chunk walk.
+"""One process-wide thread pool for the conv walk and serve featurisation.
 
 :class:`repro.core.model.ConvBranch` walks its batch in independent
 chunks of :data:`repro.nn.conv.CHUNK` samples, and every step of a
-chunk (strided copies, GEMMs, ufuncs) releases the GIL.
-:func:`run_parts` splits such a chunk list into at most :data:`WIDTH`
+chunk (strided copies, GEMMs, ufuncs) releases the GIL;
+:meth:`repro.dsp.features.M2AIFeaturizer.transform_many` featurises
+its windows in independent pooled DSP batches.
+:func:`run_parts` splits such a list into at most :data:`WIDTH`
 contiguous parts: the calling thread runs the first part itself and
 one lazily built :class:`~concurrent.futures.ThreadPoolExecutor` runs
-the others.  A single core or a single chunk takes the plain serial
+the others.  A single core or a single item takes the plain serial
 loop, with no pool and no thread hand-off.
 
 :data:`WIDTH` is the number of cores this process may run on.  Nothing

@@ -17,11 +17,11 @@ from repro.dsp.features import M2AIFeaturizer
 from repro.dsp.frames import build_spectrum_frames
 from repro.faults import FaultSpec, apply_faults
 from repro.nn.conv import CHUNK, Conv1d
-from repro.nn.gradcheck import check_module_gradients
 from repro.nn.layers import Dense, ReLU
 from repro.nn.module import Module, Sequential
 from repro.nn.recurrent import LSTM
 from tests.core.test_trainer_pipeline import TINY_CFG
+from tests.nn.gradcheck import check_module_gradients
 
 NAN_PHASE_NOISE = FaultSpec(kind="phase_noise", severity=1.0, magnitude=float("nan"))
 

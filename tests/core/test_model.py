@@ -7,7 +7,8 @@ import pytest
 
 from repro import obs
 from repro.core import M2AIConfig, M2AINet
-from repro.nn import numerical_gradient, parallel, softmax_cross_entropy
+from repro.nn import parallel, softmax_cross_entropy
+from tests.nn.gradcheck import numerical_gradient
 
 SHAPES = {"pseudo": (3, 180), "period": (3, 4)}
 SMALL_CFG = M2AIConfig(

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import Dense, Dropout, Flatten, ReLU, Tanh, check_module_gradients
+from repro.nn import Dense, Dropout, Flatten, ReLU, Tanh
+from tests.nn.gradcheck import check_module_gradients
 
 RNG = np.random.default_rng(0)
 

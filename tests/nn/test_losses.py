@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.nn import log_softmax, mse_loss, numerical_gradient, softmax, softmax_cross_entropy
+from repro.nn import log_softmax, mse_loss, softmax, softmax_cross_entropy
+from tests.nn.gradcheck import numerical_gradient
 
 RNG = np.random.default_rng(2)
 

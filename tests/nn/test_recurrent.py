@@ -11,9 +11,9 @@ from repro.nn import (
     Dense,
     LastStep,
     Sequential,
-    check_module_gradients,
     softmax_cross_entropy,
 )
+from tests.nn.gradcheck import check_module_gradients
 
 RNG = np.random.default_rng(5)
 

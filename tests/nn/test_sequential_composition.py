@@ -13,8 +13,8 @@ from repro.nn import (
     MaxPool1d,
     ReLU,
     Sequential,
-    check_module_gradients,
 )
+from tests.nn.gradcheck import check_module_gradients
 
 RNG = np.random.default_rng(7)
 
